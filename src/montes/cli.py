@@ -284,25 +284,30 @@ def cmd_corpus(args) -> int:
 
 
 def _bench_poly(spec: str) -> Tuple[str, IntPolynomial, int]:
-    bits = spec.split(":")
-    name = bits[0]
+    name, *bits = spec.split(":")
+    try:
+        nums = [int(b) for b in bits]
+    except ValueError:
+        raise InputError(f"bench spec {spec!r}: parameters must be integers") from None
     if name == "tower":
-        level = int(bits[1]) if len(bits) > 1 else 1
+        level = nums[0] if nums else 1
         return spec, tower_phi(level), 2
     if name == "quartic-refine":
-        if len(bits) != 3:
+        if len(nums) != 2:
             raise InputError("bench spec quartic-refine:<p>:<k>")
-        return spec, quartic_refine(int(bits[1]), int(bits[2])), int(bits[1])
+        return spec, quartic_refine(nums[0], nums[1]), nums[0]
     if name == "multi-branch":
-        j = int(bits[1]) if len(bits) > 1 else 1
+        j = nums[0] if nums else 1
         return spec, multi_branch(j), 13
     raise InputError(f"unknown bench spec {spec!r}")
 
 
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise InputError("--repeat must be at least 1")
+    runs = [_bench_poly(spec) for spec in args.specs]
     print("name,degree,prime,index,ms")
-    for spec in args.specs:
-        name, f, p = _bench_poly(spec)
+    for name, f, p in runs:
         took = []
         index = None
         for _ in range(args.repeat):

@@ -17,7 +17,6 @@ order; its output is identical to the sequential run by construction.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -225,6 +224,10 @@ def factor_prime(
     dedekind, branches = _initialize(f, p, rng)
     args = [(f, t, i + 1, seed, refine) for i, t in enumerate(branches)]
     if parallel and len(args) > 1:
+        # imported here: it pulls in threading and logging, which the
+        # sequential default never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(8, len(args))) as pool:
             results = list(pool.map(lambda a: _run_branch(*a), args))
     else:

@@ -10,6 +10,17 @@ generator, which keeps decomposition and reassembly trivial for callers.
 Polynomials over a field are Python lists of elements, ascending, trimmed.
 All routines are deterministic given the caller's rng; factor() sorts its
 output by (degree, coefficient key) so the rng never leaks into results.
+
+Over the prime field, pmul and pdivmod run on a private kernel that works
+on the int lists directly instead of calling Field methods per coefficient;
+pmod, ppowmod, pgcd and Field.inv on level-1 fields reach it through them.
+Its reduction is lazy: products are accumulated as unreduced ints, and `% p`
+is taken once per coefficient, when division reads the leading coefficient
+to pick a quotient digit and when a result is returned.  pmul, pdivmod,
+pmod and ppowmod therefore also accept unreduced or negative ints, and every
+result is reduced into [0, p) and trimmed, the same values the
+per-coefficient routines give.  The other routines, pgcd included, take
+polynomials over the field.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DivisionByZero, NotInvertible, ReducibleModulus
+from .errors import DivisionByZero, InputError, NotInvertible, ReducibleModulus
 
 
 class Field:
@@ -200,6 +211,55 @@ def _log(q: int, p: int) -> int:
     return n
 
 
+# --- the prime-field kernel: int lists, ascending, reduced lazily ---
+
+
+def _zp_reduce(a: Sequence[int], p: int) -> List[int]:
+    out = [c % p for c in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zp_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """The product over Z, unreduced and untrimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _zp_divisor(b: Sequence[int], p: int) -> List[int]:
+    b = _zp_reduce(b, p)
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    return b
+
+
+def _zp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[List[int], List[int]]:
+    """Quotient and remainder over F_p; b reduced and trimmed, a any ints."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], _zp_reduce(a, p)
+    rem = list(a)
+    linv = pow(b[-1], -1, p)
+    quo = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * linv % p
+        if c:
+            quo[i - db] = c
+            off = i - db
+            for j in range(db):
+                rem[off + j] -= c * b[j]
+    while quo and not quo[-1]:
+        quo.pop()
+    return quo, _zp_reduce(rem[:db], p)
+
+
 # --- polynomials over a Field: lists of elements, ascending, trimmed ---
 
 
@@ -231,6 +291,8 @@ def pscale(K: Field, c, a: Sequence) -> List:
 
 
 def pmul(K: Field, a: Sequence, b: Sequence) -> List:
+    if K.level == 0:
+        return _zp_reduce(_zp_mul(a, b), K.p)
     if not a or not b:
         return []
     out = [K.zero] * (len(a) + len(b) - 1)
@@ -243,6 +305,8 @@ def pmul(K: Field, a: Sequence, b: Sequence) -> List:
 
 
 def pdivmod(K: Field, a: Sequence, b: Sequence) -> Tuple[List, List]:
+    if K.level == 0:
+        return _zp_divmod(a, _zp_divisor(b, K.p), K.p)
     if not b:
         raise DivisionByZero("polynomial division by zero")
     rem = list(a)
@@ -281,13 +345,16 @@ def pgcd(K: Field, a: Sequence, b: Sequence) -> List:
 
 
 def ppowmod(K: Field, a: Sequence, n: int, m: Sequence) -> List:
+    if n < 0:
+        raise InputError(f"ppowmod needs an exponent >= 0, got {n}")
     out = [K.one]
     base = pmod(K, a, m)
     while n:
         if n & 1:
             out = pmod(K, pmul(K, out, base), m)
-        base = pmod(K, pmul(K, base, base), m)
         n >>= 1
+        if n:
+            base = pmod(K, pmul(K, base, base), m)
     return out
 
 

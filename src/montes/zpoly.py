@@ -15,6 +15,7 @@ from .errors import (
     NotInvertible,
     ZeroPolynomial,
 )
+from .ffield import Field, pgcd, ptrim
 
 
 class IntPolynomial:
@@ -185,14 +186,31 @@ X = IntPolynomial((0, 1))
 
 
 def pval(n, p):
-    """Multiplicity of the prime p in the nonzero integer n."""
+    """Multiplicity of the prime p in the nonzero integer n.
+
+    Divides by p, p^2, p^4, ... while the division is exact, then descends
+    through the same powers, so a valuation v costs O(log v) divisions.
+    """
     if n == 0:
         raise ZeroPolynomial("p-adic valuation of 0 requested")
-    v = 0
+    if n % p:
+        return 0
     n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers = [p]
+    v = 0
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    # what is left of v is below 2^(len(powers) - 1): take its binary digits
+    for k in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n = q
+            v += 1 << k
     return v
 
 
@@ -291,37 +309,15 @@ _SCREEN_PRIMES = (
 )
 
 
-def _gcd_mod(a, b, q):
-    """Monic gcd of two coefficient lists mod a prime q (ascending lists)."""
-    def trim(u):
-        while u and u[-1] % q == 0:
-            u.pop()
-        return u
-
-    a, b = trim([c % q for c in a]), trim([c % q for c in b])
-    while b:
-        inv = pow(b[-1], -1, q)
-        db = len(b) - 1
-        while len(a) - 1 >= db:
-            c = a[-1] * inv % q
-            if c:
-                sh = len(a) - 1 - db
-                for j in range(len(b)):
-                    a[sh + j] = (a[sh + j] - c * b[j]) % q
-            a.pop()
-            trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
-
-
 def is_squarefree(f):
     """True iff f has no repeated roots over Q.
 
-    A single prime q with gcd(f mod q, f' mod q) = 1 certifies squarefreeness
-    (the reduction of the true gcd divides both).  Only when every screen
-    prime fails do we fall back to an exact gcd over Z.
+    A single prime q not dividing lc(f) with gcd(f mod q, f' mod q) = 1
+    certifies squarefreeness: a repeated factor g of f keeps its degree mod
+    q, and its reduction divides both.  A prime dividing lc(f) certifies
+    nothing, because f mod q loses degree (and with it the repeated factor),
+    so it is skipped.  Only when every screen prime fails do we fall back to
+    an exact gcd over Z.
     """
     if f.is_zero:
         raise ZeroPolynomial("squarefreeness of the zero polynomial")
@@ -329,8 +325,12 @@ def is_squarefree(f):
         return True
     df = f.derivative()
     for q in _SCREEN_PRIMES:
-        if len(_gcd_mod(f.coeffs, df.coeffs, q)) == 1:
-            return True
+        if f.lc % q:
+            K = Field(q)
+            fq = [c % q for c in f.coeffs]
+            dq = ptrim(K, [c % q for c in df.coeffs])
+            if len(pgcd(K, fq, dq)) == 1:
+                return True
     return gcd_z(f, df).degree == 0
 
 

@@ -234,6 +234,20 @@ def test_bench_empty_set(capsys):
     assert out.strip() == "name,degree,prime,index,ms"
 
 
+def test_bench_repeat_below_one_exit_2(capsys):
+    for repeat in ("0", "-1"):
+        code, out, err = run_cli(capsys, "bench", "--repeat", repeat, "tower:1")
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+
+def test_bench_malformed_spec_exit_2(capsys):
+    for spec in ("tower:abc", "tower:", "multi-branch:x", "quartic-refine:7:k"):
+        code, out, err = run_cli(capsys, "bench", spec)
+        assert code == 2, spec
+        assert err.startswith("error:") and out == "", spec
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all")
     assert code == 0

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from montes.errors import DivisionByZero, NotInvertible, ReducibleModulus
+from montes.errors import DivisionByZero, InputError, NotInvertible, ReducibleModulus
+from montes.zpoly import IntPolynomial
 from montes.ffield import (
     Field,
     equal_degree_factors,
@@ -222,7 +223,131 @@ def test_powmod_matches_pow():
     assert ppowmod(F13, t, 11, m) == pdivmod(F13, direct, m)[1]
 
 
+def test_powmod_rejects_negative_exponent():
+    # a negative exponent used to loop forever (-1 >> 1 == -1)
+    for K in (F13, F8):
+        with pytest.raises(InputError):
+            ppowmod(K, poly(K, [1, 1]), -1, poly(K, [1, 0, 1]))
+
+
 def test_gcd_monic_and_common_root():
     a = pmul(F13, poly(F13, [1, 1]), poly(F13, [2, 1]))
     b = pmul(F13, poly(F13, [1, 1]), poly(F13, [5, 1]))
     assert pgcd(F13, a, b) == poly(F13, [1, 1])
+
+
+# --- the prime-field kernel against IntPolynomial arithmetic over Z ---
+
+KERNEL_PRIMES = (2, 3, 13, 1009, 2**61 - 1)
+
+
+def _reduced(coeffs, p):
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _raw_operand(rng, p, length):
+    # unreduced and negative ints, as the kernel must accept them
+    return [rng.randint(-3 * p, 3 * p) for _ in range(length)]
+
+
+def _divisor(rng, p, length):
+    # nonzero leading coefficient mod p, not necessarily 1
+    b = _raw_operand(rng, p, length)
+    while b[-1] % p == 0:
+        b[-1] = rng.randint(-3 * p, 3 * p)
+    return b
+
+
+def _ref_divmod(a, b, p):
+    # scale b to a monic integer lift, divide exactly over Z, reduce mod p
+    inv = pow(b[-1], -1, p)
+    monic = IntPolynomial([c * inv % p for c in b[:-1]] + [1])
+    q, r = IntPolynomial(a).divmod_monic(monic)
+    return _reduced([c * inv for c in q.coeffs], p), _reduced(r.coeffs, p)
+
+
+def _ref_gcd(a, b, p):
+    a, b = _reduced(a, p), _reduced(b, p)
+    while b:
+        a, b = b, _ref_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_pmul_matches_integer_product(p):
+    K = Field(p)
+    rng = random.Random(p)
+    for _ in range(40):
+        a = _raw_operand(rng, p, rng.randint(0, 9))
+        b = _raw_operand(rng, p, rng.randint(0, 9))
+        want = _reduced((IntPolynomial(a) * IntPolynomial(b)).coeffs, p)
+        assert pmul(K, a, b) == want
+        assert pmul(K, a, a) == _reduced((IntPolynomial(a) * IntPolynomial(a)).coeffs, p)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_pdivmod_matches_integer_division(p):
+    K = Field(p)
+    rng = random.Random(p + 1)
+    for _ in range(60):
+        a = _raw_operand(rng, p, rng.randint(0, 10))
+        b = _divisor(rng, p, rng.randint(1, 7))  # often longer than a
+        q, r = pdivmod(K, a, b)
+        assert (q, r) == _ref_divmod(a, b, p)
+        assert len(r) < len(_reduced(b, p))
+        # q*b + r = a over F_p
+        back = IntPolynomial(q) * IntPolynomial(b) + IntPolynomial(r) - IntPolynomial(a)
+        assert _reduced(back.coeffs, p) == []
+    with pytest.raises(DivisionByZero):
+        pdivmod(K, [1, 2], [p, 2 * p])  # zero mod p
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_ppowmod_matches_integer_power(p):
+    K = Field(p)
+    rng = random.Random(p + 2)
+    for _ in range(25):
+        a = _raw_operand(rng, p, rng.randint(0, 6))
+        m = _divisor(rng, p, rng.randint(1, 6))
+        n = rng.randint(0, 12)
+        want = _ref_divmod((IntPolynomial(a) ** n).coeffs, m, p)[1] if n else [1]
+        assert ppowmod(K, a, n, m) == want
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_pgcd_matches_reference(p):
+    K = Field(p)
+    rng = random.Random(p + 3)
+    for _ in range(40):
+        # pgcd takes polynomials over the field: reduced and trimmed
+        c = _divisor(rng, p, rng.randint(1, 4))
+        a = _reduced((IntPolynomial(c) * IntPolynomial(_raw_operand(rng, p, rng.randint(0, 5)))).coeffs, p)
+        b = _reduced((IntPolynomial(c) * IntPolynomial(_divisor(rng, p, rng.randint(1, 5)))).coeffs, p)
+        g = pgcd(K, a, b)
+        assert g == _ref_gcd(a, b, p)
+        if g:
+            assert g[-1] == 1
+            assert _ref_divmod(g, c, p)[1] == []  # the planted factor divides g
+    assert pgcd(K, [], []) == []
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_factor_multiplies_back_to_monic_input(p):
+    K = Field(p)
+    rng = random.Random(p + 4)
+    for _ in range(8 if p < 2**20 else 3):
+        f = _reduced(_divisor(rng, p, rng.randint(2, 9 if p < 2**20 else 6)), p)
+        got = factor(K, f, random.Random(1))
+        total = [K.one]
+        for g, m in got:
+            assert g[-1] == 1 and is_irreducible(K, g)
+            for _ in range(m):
+                total = pmul(K, total, g)
+        inv = pow(f[-1], -1, p)
+        assert total == [c * inv % p for c in f]

@@ -114,6 +114,31 @@ def test_pval_and_vpoly():
         vpoly(IntPolynomial(), 5)
 
 
+def _pval_naive(n, p):
+    v, n = 0, abs(n)
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 1009, 2**61 - 1])
+def test_pval_matches_naive_loop(p):
+    rng = random.Random(p)
+    vals = list(range(40)) + [rng.randint(40, 999) for _ in range(20)] + [511, 512, 1000]
+    for v in vals:
+        unit = rng.randint(1, 10**30)
+        if unit % p == 0:
+            unit += 1
+        for n in (unit * p**v, -unit * p**v):
+            assert pval(n, p) == v == _pval_naive(n, p)
+    for _ in range(50):
+        n = rng.randint(-10**40, 10**40) or 1
+        assert pval(n, p) == _pval_naive(n, p)
+    with pytest.raises(ZeroPolynomial):
+        pval(0, p)
+
+
 @settings(max_examples=60)
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6),
        st.lists(st.integers(-20, 20), min_size=2, max_size=6))
@@ -167,6 +192,13 @@ def test_is_squarefree():
     assert not is_squarefree(sq)
     # squarefree even though every small prime divides the discriminant gap
     assert is_squarefree(IntPolynomial([0, 1]) * IntPolynomial([2, 1]))
+    # mod 2 (resp. 3) these lose their repeated factor with the leading term
+    assert not is_squarefree(IntPolynomial([1, 2]) ** 2)
+    assert not is_squarefree(IntPolynomial([0, 1, 6, 9]))  # x (3x+1)^2
+    assert not is_squarefree(IntPolynomial([1, 6]) ** 2 * IntPolynomial([1, 0, 1]))
+    assert is_squarefree(IntPolynomial([1, 0, 2]))
+    assert is_squarefree(IntPolynomial([1, 0, 1]))  # f' vanishes mod 2
+    assert is_squarefree(IntPolynomial([1, 2]) * IntPolynomial([1, 6]))
 
 
 @given(small_polys, small_polys)
