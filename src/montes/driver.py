@@ -8,10 +8,6 @@ a completed prime, a refined branch (same order, better modulus), or an
 extended branch (one more level).  Every structural invariant the theory
 promises is asserted; a violation aborts the run rather than returning wrong
 arithmetic.
-
-Branches from distinct order-zero factors never interact, so the parallel
-mode runs one task per initial branch and concatenates the results in branch
-order; its output is identical to the sequential run by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from .errors import (
 from .ffield import Field, factor as ffactor, pmod
 from .polygon import cut_sides, principal_sides, region_index
 from .types import Type
-from .zpoly import IntPolynomial, discriminant, is_prime, is_squarefree, pval
+from .zpoly import IntPolynomial, is_prime, is_squarefree
 
 
 @dataclass
@@ -155,7 +151,7 @@ def _run_branch(
             )
         pts = sorted(cloud.items())
         sides_all = principal_sides(pts)
-        index += t.weight * region_index(sides_all, t.cut_h)
+        index += t.f_prod * region_index(sides_all, t.cut_h)
         sides = cut_sides(sides_all, t.cut_h)
         width = sum(s.width for s in sides)
         if width != t.mult - (1 if phi_divides else 0):
@@ -215,23 +211,13 @@ def factor_prime(
     f: IntPolynomial,
     p: int,
     seed: int = 0,
-    parallel: bool = False,
     refine: bool = True,
     generators: bool = False,
 ) -> RunResult:
     """Primes above p in Q[x]/(f), and the p-valuation of the index of f."""
     rng = random.Random(f"{seed}:init")
     dedekind, branches = _initialize(f, p, rng)
-    args = [(f, t, i + 1, seed, refine) for i, t in enumerate(branches)]
-    if parallel and len(args) > 1:
-        # imported here: it pulls in threading and logging, which the
-        # sequential default never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(8, len(args))) as pool:
-            results = list(pool.map(lambda a: _run_branch(*a), args))
-    else:
-        results = [_run_branch(*a) for a in args]
+    results = [_run_branch(f, t, i + 1, seed, refine) for i, t in enumerate(branches)]
     records = list(dedekind)
     pops: Dict[Tuple[int, int], PopRecord] = {}
     index = 0
@@ -252,6 +238,14 @@ def factor_prime(
     return result
 
 
-def disc_valuation(f: IntPolynomial, p: int) -> int:
-    """v_p of the discriminant of f."""
-    return pval(discriminant(f), p)
+def disc_valuation(result: RunResult) -> int:
+    """v_p of the discriminant of f, from the primes of a finished run.
+
+    For monic f, disc f = +-N(f'(theta)), and v_p of a norm is the sum over
+    the primes P above p of f_P * v_P, with v_P normalised by v_P(p) = e_P.
+    """
+    from .idealgen import value_at_prime
+
+    f, p = result.poly, result.p
+    df = f.derivative()
+    return sum(rec.f * value_at_prime(rec, df, f, p) for rec in result.primes)

@@ -50,19 +50,11 @@ class NoPoints(InputError):
     pass
 
 
-class SlopeOverflow(InputError):
-    pass
-
-
 class RefineDegreeMismatch(InputError):
     pass
 
 
 class UnliftableTarget(InputError):
-    pass
-
-
-class PointOffPolygon(InputError):
     pass
 
 

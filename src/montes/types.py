@@ -128,11 +128,6 @@ class Type:
             out *= lvl.f
         return out
 
-    @property
-    def weight(self) -> int:
-        """Residue degree of the working field over the prime field."""
-        return self.f_prod
-
     def order_data(self, R: int) -> Tuple[Field, object, int]:
         """(F_R, w_R, V_R) for 1 <= R <= order + 1."""
         if R == 1:

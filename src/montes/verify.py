@@ -7,7 +7,7 @@ of this code is on the main computation path.
 """
 
 from .errors import NotApplicable, OracleTooLarge
-from .zpoly import IntPolynomial, discriminant, phi_expand, pval
+from .zpoly import IntPolynomial
 
 _ORACLE_CAP = 64
 
@@ -169,25 +169,16 @@ def _exact_div_mod_p(a, d, p):
     return tuple(out[: len(out)])
 
 
-def tame_disc_check(f, p, index, primes):
+def tame_disc_check(disc_v, p, index, primes):
     """In the tame case (p divides no ramification index) the discriminant
-    valuation must satisfy v_p(disc f) = 2*index + sum (e-1)*f.
+    valuation disc_v = v_p(disc f) must equal 2*index + sum (e-1)*f.
 
     Returns the pair (lhs, rhs); raises NotApplicable in the wild case.
     """
     if any(e % p == 0 for e, _ in primes):
         raise NotApplicable("wild ramification")
-    d = discriminant(f)
-    lhs = pval(d, p) if d else None
     rhs = 2 * index + sum((e - 1) * fd for e, fd in primes)
-    return lhs, rhs
-
-
-def value_bound_check(f, p, phi, bound):
-    """Cheap helper: the valuation of the phi-adic tail of f.  Used by tests
-    to sanity-check expansion plumbing."""
-    parts = phi_expand(f, phi)
-    return min((pval(c, p) for part in parts for c in part.coeffs if c), default=bound)
+    return disc_v, rhs
 
 
 def refinement_equivalence_check(f, p):

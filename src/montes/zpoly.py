@@ -152,10 +152,6 @@ class IntPolynomial:
             out = new
         return IntPolynomial(out)
 
-    def reduce_mod(self, m):
-        """Coefficients reduced into [0, m), ascending, untrimmed length kept."""
-        return [c % m for c in self.coeffs]
-
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
 
@@ -332,58 +328,6 @@ def is_squarefree(f):
             if len(pgcd(K, fq, dq)) == 1:
                 return True
     return gcd_z(f, df).degree == 0
-
-
-def resultant(A, B):
-    """Resultant of A and B over Z, by the subresultant remainder sequence."""
-    if A.is_zero or B.is_zero:
-        return 0
-    if A.degree == 0:
-        return A.coeffs[0] ** B.degree
-    if B.degree == 0:
-        return B.coeffs[0] ** A.degree
-    s = 1
-    if A.degree < B.degree:
-        if (A.degree & 1) and (B.degree & 1):
-            s = -s
-        A, B = B, A
-    ca, cb = content(A), content(B)
-    A, B = primitive_part(A), primitive_part(B)
-    t = s * ca ** B.degree * cb ** A.degree
-    g = h = 1
-    while True:
-        dA, dB = A.degree, B.degree
-        d = dA - dB
-        if (dA & 1) and (dB & 1):
-            t = -t
-        _, R = pseudo_divmod(A, B)
-        A = B
-        denom = g * h ** d
-        B = IntPolynomial(tuple(c // denom for c in R.coeffs))
-        g = A.lc
-        if d > 0:
-            h = g ** d // h ** (d - 1)
-        if B.is_zero:
-            return 0
-        if B.degree == 0:
-            dA = A.degree
-            return t * (B.coeffs[0] ** dA) // h ** (dA - 1)
-
-
-def discriminant(f):
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
-    n = f.degree
-    if n < 1:
-        raise DegreeTooSmall("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    r = resultant(f, f.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    val = sign * r
-    q, rem = divmod(val, f.lc)
-    if rem:
-        raise ZeroPolynomial("discriminant division failed")  # unreachable
-    return q
 
 
 # ---------------------------------------------------------------------------

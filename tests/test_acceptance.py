@@ -26,9 +26,9 @@ from montes.verify import (
     refinement_equivalence_check,
     tame_disc_check,
 )
-from montes.zpoly import IntPolynomial, X
+from montes.zpoly import IntPolynomial, X, pval
 
-from .oracles import refinement_instance
+from .oracles import refinement_instance, sylvester_discriminant
 from .test_driver import random_squarefree
 from .test_idealgen import identity_grid, valuation_grid
 from .test_polygon import _random_cloud, vertices_of
@@ -53,7 +53,7 @@ def ef(result):
 def test_a1_degree_twelve_benchmark(capsys):
     t0 = time.perf_counter()
     r = factor_prime(F12, 2)
-    dv = disc_valuation(F12, 2)
+    dv = disc_valuation(r)
     dt = time.perf_counter() - t0
     ok = (
         ef(r) == [(2, 1)] * 6
@@ -203,7 +203,8 @@ def test_a6_property_suite(capsys):
         pairs = [(q.e, q.f) for q in r.primes]
         ok = ok and sum(e * k for e, k in pairs) == f.degree
         try:
-            lhs, rhs = tame_disc_check(f, p, r.index, pairs)
+            disc_v = pval(sylvester_discriminant(f.coeffs), p)
+            lhs, rhs = tame_disc_check(disc_v, p, r.index, pairs)
             ok = ok and lhs == rhs
         except NotApplicable:
             pass
@@ -274,8 +275,8 @@ def test_a8_determinism(capsys):
         "--json", "--generators", "--disc", "--seed", "7",
     ]
 
-    def run(extra=()):
-        code = main(argv + list(extra))
+    def run():
+        code = main(argv)
         out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)
@@ -283,10 +284,4 @@ def test_a8_determinism(capsys):
         return json.dumps(doc, indent=2)
 
     first, second = run(), run()
-    par = run(["--parallel"])
-    ok = first == second and first == par
-    assert report(
-        capsys,
-        "A8 determinism: repeated seed byte-identical, parallel equals sequential",
-        ok,
-    )
+    assert report(capsys, "A8 determinism: repeated seed byte-identical", first == second)

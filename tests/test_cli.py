@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from montes.cli import (
     main,
@@ -10,7 +14,7 @@ from montes.cli import (
     poly_to_coeff_lines,
     poly_to_expr,
 )
-from montes.corpus import quartic_refine, random_tower, tower_phi
+from montes.corpus import multi_branch, quartic_refine, random_tower, tower_phi
 from montes.errors import ParseError
 from montes.zpoly import IntPolynomial, X
 
@@ -164,11 +168,78 @@ def test_factor_invalid_inputs_exit_2(capsys):
         ("factor", "--prime", "2", "--poly", "2*x^2+1"),  # non-monic
         ("factor", "--prime", "2", "--poly", "x^2"),  # not squarefree
         ("factor", "--prime", "2", "--poly", "x^2+*1"),  # syntax
+        # hostile: deep nesting, powers past the size limits, a huge literal
+        ("factor", "--prime", "2", "--poly", "(" * 5000 + "x" + ")" * 5000),
+        ("factor", "--prime", "2", "--poly", "x^999999999"),
+        ("factor", "--prime", "2", "--poly", "9^999999999"),
+        ("factor", "--prime", "2", "--poly", "x+" + "1" * 400_000),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_parse_limits():
+    assert parse_poly("(" * 100 + "x" + ")" * 100) == X
+    assert parse_poly("x^100000").degree == 100_000
+    assert parse_poly("(x+1)^500").degree == 500
+    for text, offset in [
+        ("(" * 101 + "x" + ")" * 101, 100),
+        ("x^100001", 2),
+        ("(x+1)^2000", 6),
+        ("((x+1)^40)^40", 11),
+        ("(x+1)^600*(x+1)^600", 9),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.offset == offset, text
+
+
+_ATOMS = st.sampled_from(["x", "0", "1", "2", "13", "99"])
+_GRAMMAR = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        st.tuples(inner, st.integers(0, 99)).map(lambda t: f"({t[0]})^{t[1]}"),
+    ),
+    max_leaves=6,
+)
+_NOISE = st.text(alphabet="x0123456789+-*^() ", max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_GRAMMAR, _NOISE),
+    st.sampled_from(["2", "3", "13", "4"]),
+    st.sampled_from([(), ("--disc",), ("--json", "--disc")]),
+)
+def test_factor_exit_code_contract(text, prime, flags):
+    # The parser is what is fuzzed: factoring a degree of a few hundred takes
+    # seconds, so texts that parse to a degree above 100 are skipped.
+    try:
+        assume(parse_poly(text).degree <= 100)
+    except ParseError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["factor", "--prime", prime, "--poly", text, *flags])
+        except SystemExit as exc:  # argparse rejects text that looks like an option
+            code = exc.code
+    assert code in (0, 2, 3)
+
+
+def test_factor_disc_multi_branch(capsys):
+    # 13 divides no ramification index, so the tame formula gives the answer
+    code, out, _ = run_cli(
+        capsys, "factor", "--prime", "13", "--poly", poly_to_expr(multi_branch(1)),
+        "--disc", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    tame = 2 * doc["index"] + sum(q["f"] * (q["e"] - 1) for q in doc["primes"])
+    assert doc["disc_valuation"] == 43248 == tame
 
 
 def test_determinism_modulo_timings(capsys):
@@ -184,16 +255,18 @@ def test_determinism_modulo_timings(capsys):
 
 
 def test_corpus_tower_matches_library(capsys):
-    code, out, _ = run_cli(capsys, "corpus", "--family", "tower", "--level", "2")
-    assert code == 0
-    assert parse_poly(out.strip()) == tower_phi(2)
+    for level in (2, 6):
+        code, out, _ = run_cli(capsys, "corpus", "--family", "tower", "--level", str(level))
+        assert code == 0
+        assert parse_poly(out.strip()) == tower_phi(level)
 
 
 def test_corpus_quartic(capsys):
-    _, out, _ = run_cli(
-        capsys, "corpus", "--family", "quartic-refine", "--prime", "7", "--k", "3"
-    )
-    assert parse_poly(out.strip()) == quartic_refine(7, 3)
+    for p, k in [(7, 3), (1009, 500)]:
+        _, out, _ = run_cli(
+            capsys, "corpus", "--family", "quartic-refine", "--prime", str(p), "--k", str(k)
+        )
+        assert parse_poly(out.strip()) == quartic_refine(p, k)
 
 
 def test_corpus_multi_branch_degree(capsys):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from montes.corpus import tower_phi
 from montes.driver import disc_valuation, factor_prime
 from montes.errors import DegreeTooSmall, NonMonic, NotPrime, NotSquarefree
 from montes.verify import (
@@ -10,9 +13,9 @@ from montes.verify import (
     refinement_equivalence_check,
     tame_disc_check,
 )
-from montes.zpoly import IntPolynomial, X, is_squarefree
+from montes.zpoly import IntPolynomial, X, is_squarefree, pval
 
-from .oracles import refinement_instance
+from .oracles import refinement_instance, sylvester_discriminant
 from .test_zpoly import F12
 
 
@@ -65,7 +68,7 @@ def test_twelve_dimensional_benchmark():
     r = factor_prime(F12, 2)
     assert r.index == 33
     assert ef(r) == [(2, 1)] * 6
-    assert disc_valuation(F12, 2) - 2 * r.index == 18
+    assert disc_valuation(r) - 2 * r.index == 18
 
 
 def test_tower_level_one():
@@ -115,7 +118,8 @@ def test_random_batch_invariants():
         assert r.index >= 0
         pairs = [(pr.e, pr.f) for pr in r.primes]
         try:
-            lhs, rhs = tame_disc_check(f, p, r.index, pairs)
+            disc_v = pval(sylvester_discriminant(f.coeffs), p)
+            lhs, rhs = tame_disc_check(disc_v, p, r.index, pairs)
             assert lhs == rhs
         except NotApplicable:
             pass
@@ -138,7 +142,7 @@ def test_refinement_matches_basic_mode():
         assert ef(a) == ef(b)
 
 
-def test_seed_and_parallel_stability():
+def test_seed_stability():
     f = X * (X + IntPolynomial([2])) * (X + IntPolynomial([4]))
     base = factor_prime(f, 2, seed=0)
     for seed in (1, 17):
@@ -147,13 +151,40 @@ def test_seed_and_parallel_stability():
             (p.e, p.f, p.kind) for p in base.primes
         ]
         assert r.index == base.index
-    for g, p in [(f, 2), (F12, 2)]:
-        seq = factor_prime(g, p, seed=3)
-        par = factor_prime(g, p, seed=3, parallel=True)
-        assert [(x.e, x.f, x.kind, x.lineage) for x in seq.primes] == [
-            (x.e, x.f, x.kind, x.lineage) for x in par.primes
-        ]
-        assert seq.index == par.index
+
+
+@st.composite
+def squarefree_with_prime(draw):
+    """(f, p): f monic squarefree of degree at most 14, often a product of
+    two factors, whose lower coefficients may all carry a factor p^k."""
+    p = draw(st.sampled_from([2, 3, 5, 13]))
+
+    def factor(max_deg):
+        deg = draw(st.integers(1, max_deg))
+        scale = p ** draw(st.integers(0, 5))
+        tail = draw(st.lists(st.integers(-40, 40), min_size=deg, max_size=deg))
+        return IntPolynomial([c * scale for c in tail] + [1])
+
+    f = factor(14)
+    if f.degree < 14 and draw(st.booleans()):
+        f = f * factor(14 - f.degree)
+    assume(is_squarefree(f))
+    return f, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(squarefree_with_prime())
+def test_disc_valuation_matches_sylvester(case):
+    f, p = case
+    assert disc_valuation(factor_prime(f, p)) == pval(sylvester_discriminant(f.coeffs), p)
+
+
+def test_disc_valuation_pinned():
+    # the values perfbench/reference.json holds from the Sylvester determinant
+    g = IntPolynomial([5, 1, 0, 1])
+    a2 = g**50 + IntPolynomial([2**89]) * g**25 + IntPolynomial([2**178])
+    for f, want in [(a2, 26166), (tower_phi(4), 3120), (tower_phi(5), 28848)]:
+        assert disc_valuation(factor_prime(f, 2)) == want
 
 
 def test_refinement_equivalence_on_forced_double_roots():
