@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from .corpus import multi_branch, quartic_refine, random_tower, tower_phi
 from .driver import disc_valuation, factor_prime
 from .errors import InputError, InvariantViolation, ParseError
-from .zpoly import IntPolynomial, is_prime
+from .zpoly import IntPolynomial
 
 
 # --- polynomial expression grammar ---
@@ -32,7 +32,8 @@ from .zpoly import IntPolynomial, is_prime
 # base   := 'x' | integer | '(' expr ')'
 #
 # No implicit multiplication, no unary minus; whitespace is free.  Offsets
-# in error messages count bytes from the start of the input.
+# in error messages count UTF-8 bytes from the start of the input; bytes
+# that are not UTF-8 arrive as surrogate escapes and count one each.
 #
 # Hostile input gets a bounded amount of work: parentheses nest at most
 # _MAX_DEPTH deep (the parser recurses once per level), a number may have at
@@ -45,6 +46,10 @@ from .zpoly import IntPolynomial, is_prime
 _MAX_DEPTH = 100
 _MAX_DEGREE = 100_000
 _MAX_BITS = 1 << 20
+
+# A prime past this size is refused before the Miller-Rabin test, whose cost
+# grows about cubically with the size (2.3 s for one 4096-bit prime).
+_MAX_PRIME_BITS = 1024
 
 
 class _Scanner:
@@ -66,18 +71,23 @@ class _Scanner:
         self.pos += 1
         return ch
 
-    def fail(self, message: str):
-        raise ParseError(message, self.pos)
+    def fail(self, message: str, pos: Optional[int] = None):
+        head = self.text[: self.pos if pos is None else pos]
+        try:
+            offset = len(head.encode("utf-8", "surrogateescape"))
+        except UnicodeEncodeError:  # a lone surrogate that no byte decodes to
+            offset = len(head.encode("utf-8", "surrogatepass"))
+        raise ParseError(message, offset)
 
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")
         if (self.pos - start) * math.log2(10) > _MAX_BITS:
-            raise ParseError("number too long", start)
+            self.fail("number too long", start)
         return int(self.text[start : self.pos])
 
 
@@ -88,9 +98,9 @@ def _shape(f: IntPolynomial) -> Tuple[int, float]:
     return len(f.coeffs) - f.coeffs.count(0), math.log2(norm) if norm else 0.0
 
 
-def _check_size(offset: int, degree: int, terms: int, bits: float) -> None:
+def _check_size(sc: _Scanner, at: int, degree: int, terms: int, bits: float) -> None:
     if degree > _MAX_DEGREE or terms * bits > _MAX_BITS:
-        raise ParseError("product or power too large", offset)
+        sc.fail("product or power too large", at)
 
 
 def _parse_expr(sc: _Scanner) -> IntPolynomial:
@@ -110,7 +120,7 @@ def _parse_term(sc: _Scanner) -> IntPolynomial:
         rhs = _parse_factor(sc)
         (ta, ba), (tb, bb) = _shape(out), _shape(rhs)
         degree = out.degree + rhs.degree
-        _check_size(at, degree, min(degree + 1, ta * tb), ba + bb)
+        _check_size(sc, at, degree, min(degree + 1, ta * tb), ba + bb)
         out = out * rhs
     return out
 
@@ -124,7 +134,7 @@ def _parse_factor(sc: _Scanner) -> IntPolynomial:
     n = sc.nat()
     terms, bits = _shape(base)
     degree = n * base.degree
-    _check_size(at, degree, 1 if terms == 1 else degree + 1, n * bits)
+    _check_size(sc, at, degree, 1 if terms == 1 else degree + 1, n * bits)
     return base ** n
 
 
@@ -133,7 +143,7 @@ def _parse_base(sc: _Scanner) -> IntPolynomial:
     if ch == "x":
         sc.take()
         return IntPolynomial((0, 1))
-    if ch.isdigit():
+    if ch.isdecimal():
         return IntPolynomial((sc.nat(),))
     if ch == "(":
         if sc.depth == _MAX_DEPTH:
@@ -205,7 +215,8 @@ def poly_to_coeff_lines(f: IntPolynomial) -> str:
 def _read_poly(args) -> IntPolynomial:
     if args.poly_file is not None:
         try:
-            with open(args.poly_file, "r", encoding="utf-8") as fh:
+            # bytes that are not UTF-8 reach the parser, which reports them
+            with open(args.poly_file, encoding="utf-8", errors="surrogateescape") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read {args.poly_file}: {exc.strerror}") from exc
@@ -260,8 +271,7 @@ def cmd_factor(args) -> int:
     t0 = time.perf_counter()
     f = _read_poly(args)
     t1 = time.perf_counter()
-    if not is_prime(args.prime):
-        raise InputError(f"{args.prime} is not prime")
+    _check_prime_size(args.prime)
     r = factor_prime(f, args.prime, seed=args.seed, generators=args.generators)
     t2 = time.perf_counter()
     timings = {
@@ -276,6 +286,11 @@ def cmd_factor(args) -> int:
     else:
         _print_text(payload, sys.stdout)
     return 0
+
+
+def _check_prime_size(p: int) -> None:
+    if p.bit_length() > _MAX_PRIME_BITS:
+        raise InputError(f"the prime has more than {_MAX_PRIME_BITS} bits")
 
 
 # --- corpus subcommand ---
@@ -296,6 +311,8 @@ def _parse_chain(text: str) -> List[Tuple[int, int, int]]:
 
 
 def cmd_corpus(args) -> int:
+    if args.prime is not None:
+        _check_prime_size(args.prime)
     if args.family == "tower":
         if args.chain is not None:
             f = random_tower(args.prime or 2, args.f0, _parse_chain(args.chain), args.seed)
@@ -331,6 +348,7 @@ def _bench_poly(spec: str) -> Tuple[str, IntPolynomial, int]:
     if name == "quartic-refine":
         if len(nums) != 2:
             raise InputError("bench spec quartic-refine:<p>:<k>")
+        _check_prime_size(nums[0])
         return spec, quartic_refine(nums[0], nums[1]), nums[0]
     if name == "multi-branch":
         j = nums[0] if nums else 1

@@ -228,6 +228,6 @@ def random_tower(
             raise InputError("each level needs h,e,f >= 1 with gcd(h,e) = 1")
         fld = t.order_data(t.order + 1)[0]
         psi = _random_irreducible(fld, fdeg, rng, nonzero_constant=True)
-        t = t.extended(h, e, psi, 1, ())
+        t = t.extended(h, e, psi, 1)
     t.ensure_rep()
     return t.phi

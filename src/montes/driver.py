@@ -13,9 +13,8 @@ arithmetic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .errors import (
     DegreeTooSmall,
@@ -38,32 +37,19 @@ class PrimeRecord:
     kind tells how the prime completed: "dedekind" via the shortcut at
     initialization, "side" via a multiplicity-one residual factor, "factor"
     when the pending modulus divides f exactly.  tipo holds the completed
-    branch for the generator machinery; lineage the (pop, side) slots it
-    passed through.  dominators lists (index, slope) of the primes that
-    branched off a steeper side of the polygon this prime's last level was
-    committed at; tweaked_phi and generator are filled by the generator
-    machinery on demand, and value_type caches its improved modulus.
+    branch for the generator machinery; generator is filled by it on
+    demand, and value_type caches value_at_prime's improved modulus with its
+    contact.
     """
 
     e: int
     f: int
     kind: str
     tipo: Optional[Type] = None
-    lineage: Tuple = ()
     dede_phi: Optional[IntPolynomial] = None
     dede_mult: int = 0
-    dominators: Optional[List[Tuple[int, Fraction]]] = None
-    tweaked_phi: Optional[IntPolynomial] = None
     generator: Optional[Tuple[IntPolynomial, int]] = None
-    value_type: Optional[Type] = None
-
-
-@dataclass
-class PopRecord:
-    """Cut sides seen at one pop, steepest first, for domination ordering."""
-
-    pop_id: Tuple[int, int]
-    slopes: List[Fraction] = field(default_factory=list)
+    value_type: Optional[Tuple[Type, Optional[int]]] = None
 
 
 @dataclass
@@ -72,7 +58,6 @@ class RunResult:
     poly: IntPolynomial
     index: int
     primes: List[PrimeRecord]
-    pops: Dict[Tuple[int, int], PopRecord]
     pop_count: int
 
 
@@ -122,12 +107,11 @@ def _run_branch(
     task_id: int,
     seed: int,
     refine: bool,
-) -> Tuple[List[PrimeRecord], Dict[Tuple[int, int], PopRecord], int, int]:
+) -> Tuple[List[PrimeRecord], int, int]:
     rng = random.Random(f"{seed}:{task_id}")
     n = f.degree
     stack = [t0]
     records: List[PrimeRecord] = []
-    pops: Dict[Tuple[int, int], PopRecord] = {}
     index = 0
     counter = 0
     while stack:
@@ -135,20 +119,11 @@ def _run_branch(
         counter += 1
         if counter > 4 * (2 * index + n) + 16:
             raise InvariantViolation("splitting loop exceeded its progress budget")
-        pid = (task_id, counter)
         coeffs, cloud = t.newton_data(f)
         fld = t.order_data(t.order + 1)[0]
         phi_divides = coeffs[0].is_zero
         if phi_divides:
-            records.append(
-                PrimeRecord(
-                    e=t.e_prod,
-                    f=t.f_prod,
-                    kind="factor",
-                    tipo=t,
-                    lineage=t.lineage,
-                )
-            )
+            records.append(PrimeRecord(e=t.e_prod, f=t.f_prod, kind="factor", tipo=t))
         pts = sorted(cloud.items())
         sides_all = principal_sides(pts)
         index += t.f_prod * region_index(sides_all, t.cut_h)
@@ -156,9 +131,8 @@ def _run_branch(
         width = sum(s.width for s in sides)
         if width != t.mult - (1 if phi_divides else 0):
             raise InvariantViolation("polygon width disagrees with multiplicity")
-        pops[pid] = PopRecord(pid, [s.slope for s in sides])
         branches: List[Type] = []
-        for si, side in enumerate(sides):
+        for side in sides:
             res = t.residual_on_side(side, coeffs, cloud)
             fct = ffactor(fld, res, rng)
             if sum((len(g) - 1) * m for g, m in fct) != side.steps:
@@ -166,45 +140,17 @@ def _run_branch(
             for psi, om in fct:
                 if fld.is_zero(psi[0]):
                     raise ForbiddenResidualY("residual factor vanishes at zero")
-                lin = t.lineage + ((pid, si),)
                 if om == 1:
-                    ct = t.extended(side.h, side.e, psi, 1, lin)
+                    ct = t.extended(side.h, side.e, psi, 1)
                     records.append(
-                        PrimeRecord(
-                            e=ct.e_prod,
-                            f=ct.f_prod,
-                            kind="side",
-                            tipo=ct,
-                            lineage=lin,
-                        )
+                        PrimeRecord(e=ct.e_prod, f=ct.f_prod, kind="side", tipo=ct)
                     )
                 elif refine and side.e == 1 and len(psi) == 2:
-                    branches.append(t.refined(side.h, psi, om, lin))
+                    branches.append(t.refined(side.h, psi, om))
                 else:
-                    branches.append(t.extended(side.h, side.e, psi, om, lin))
+                    branches.append(t.extended(side.h, side.e, psi, om))
         stack.extend(reversed(branches))
-    return records, pops, index, counter
-
-
-def _fill_dominators(records: List[PrimeRecord], pops) -> None:
-    # q dominates r exactly when q's lineage passes through a steeper side
-    # of the polygon r's last level was committed at.
-    for rec in records:
-        rec.dominators = []
-        if rec.tipo is None or not rec.tipo.levels:
-            continue
-        hop = rec.tipo.levels[-1].hop
-        if hop is None:
-            continue
-        pop_id, side_i = hop
-        slopes = pops[pop_id].slopes
-        for q_idx, q in enumerate(records):
-            if q is rec:
-                continue
-            for entry in q.lineage:
-                if entry[0] == pop_id and entry[1] < side_i:
-                    rec.dominators.append((q_idx, slopes[entry[1]]))
-                    break
+    return records, index, counter
 
 
 def factor_prime(
@@ -219,18 +165,15 @@ def factor_prime(
     dedekind, branches = _initialize(f, p, rng)
     results = [_run_branch(f, t, i + 1, seed, refine) for i, t in enumerate(branches)]
     records = list(dedekind)
-    pops: Dict[Tuple[int, int], PopRecord] = {}
     index = 0
     pop_count = 0
-    for recs, pp, idx, cnt in results:
+    for recs, idx, cnt in results:
         records.extend(recs)
-        pops.update(pp)
         index += idx
         pop_count += cnt
     if sum(r.e * r.f for r in records) != f.degree:
         raise InvariantViolation("ramification data does not fill the degree")
-    _fill_dominators(records, pops)
-    result = RunResult(p, f, index, records, pops, pop_count)
+    result = RunResult(p, f, index, records, pop_count)
     if generators:
         from .idealgen import compute_generators
 

@@ -70,10 +70,6 @@ class ZeroAtTheta(InputError):
     pass
 
 
-class MissingDominatorData(InputError):
-    pass
-
-
 class ParseError(InputError):
     """Polynomial expression rejected; carries the byte offset."""
 

@@ -2,13 +2,14 @@
 
 Each completed branch yields a fraction beta with valuation 1 at its own
 prime: the pending modulus, tweaked so that its polygon of f is one-sided of
-slope -1, divided by the previous modulus raised to e*f.  The branches that
-split off a steeper side of the same polygon see beta with a negative
-valuation given by a closed form in the two slopes; multiplying by their
-already-assembled generators clears those values, and branch order makes the
-product well-founded.  The last step keeps only the p-part of the
-denominator, which repairs integrality away from p without moving any
-valuation above p.
+slope -1, divided by the previous modulus raised to e*f.  At every other
+prime beta has value 0, except at the primes that split off a steeper side
+of the same polygon, where the value is negative.  Those values are read
+with value_at_prime, the same route the discriminant and the checks use, and
+multiplying by the generators of those primes, raised to the opposite
+exponent, clears them; a prime is assembled once every prime it needs is.
+The last step keeps only the p-part of the denominator, which repairs
+integrality away from p without moving any valuation above p.
 
 A squarefree but reducible f needs two escapes the irreducible case never
 meets.  A modulus that divides f exactly is a zero divisor, so the quotient
@@ -27,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     InvariantViolation,
-    MissingDominatorData,
     NotInvertible,
     UnliftableTarget,
     ZeroAtTheta,
@@ -151,9 +151,7 @@ def ensure_H1(tipo: Type, f: IntPolynomial) -> IntPolynomial:
         return tipo.phi
     _, _, V = tipo.order_data(W)
     phi_hat = tipo.phi + tipo.lift_simple(V + 1, W)
-    probe = Type(
-        tipo.p, tipo.F1, tipo.psi0, tipo.levels, phi_hat, 0, tipo.mult, tipo.lineage
-    )
+    probe = Type(tipo.p, tipo.F1, tipo.psi0, tipo.levels, phi_hat, 0, tipo.mult)
     if _contact(probe, f) != 1:
         raise InvariantViolation("tweaked representative missed contact 1")
     return phi_hat
@@ -172,8 +170,9 @@ def _glue_on_complement(
 
 
 def beta(record, f: IntPolynomial, p: int) -> FieldElement:
-    """An element of valuation 1 at the record's prime and 0 at every prime
-    that does not branch off a steeper side of the same polygon."""
+    """An element of valuation 1 at the record's prime and 0 at every other
+    prime, except a prime that branches off a steeper side of the same
+    polygon, where it is negative."""
     if record.kind == "dedekind":
         phi = record.dede_phi
         if record.dede_mult == 1:
@@ -231,32 +230,6 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     )
 
 
-def v_q_beta(primes: Sequence, p_idx: int, q_idx: int) -> int:
-    """Valuation of beta of prime p_idx at prime q_idx; 0 unless q dominates p.
-
-    Closed form: e_r*f_r*(e-chain of q above the shared trunk)*(lambda_q -
-    lambda_r), always a negative integer in the dominating case.
-    """
-    rec = primes[p_idx]
-    if rec.dominators is None:
-        raise MissingDominatorData("run finished without dominator bookkeeping")
-    lam_q = None
-    for qi, slope in rec.dominators:
-        if qi == q_idx:
-            lam_q = slope
-            break
-    if lam_q is None:
-        return 0
-    lvl = rec.tipo.levels[-1]
-    prefix = rec.tipo.e_prod // lvl.e
-    val = Fraction(primes[q_idx].e * lvl.e * lvl.f, prefix) * (
-        lam_q + Fraction(lvl.h, lvl.e)
-    )
-    if val.denominator != 1 or val >= 0:
-        raise InvariantViolation("dominating slope gives a non-integral valuation")
-    return int(val)
-
-
 def _trim_to_p_part(elem: FieldElement, p: int) -> Tuple[FieldElement, int]:
     """alpha = G(theta)/p^k from a reduced fraction, with small G.
 
@@ -274,28 +247,48 @@ def _trim_to_p_part(elem: FieldElement, p: int) -> Tuple[FieldElement, int]:
 def compute_generators(result) -> List[FieldElement]:
     """Fill generator = (G, k) with alpha = G(theta)/p^k on every record.
 
-    Records are processed in branch order, which puts every dominator before
-    the primes it dominates; the returned list holds the trimmed elements,
-    whose valuations above p form the identity grid.
+    v_Q(beta_P) is read off the trimmed beta_P for every other prime Q;
+    trimming moves no value below 2*e_Q, and every such value must be at
+    most 0.  alpha_P is beta_P times alpha_Q^(-v) over the Q with v < 0, so
+    it is assembled once all those alpha_Q are.  The value of beta_P at P
+    itself is left to the caller's grid check: it is the costly one.  The
+    returned list holds the trimmed elements, whose valuations above p form
+    the identity grid.
     """
     f, p = result.poly, result.p
-    alphas: List[Optional[FieldElement]] = [None] * len(result.primes)
-    for i, rec in enumerate(result.primes):
-        elem = beta(rec, f, p)
-        if rec.kind == "dedekind":
-            rec.tweaked_phi = elem.num
-        elif rec.kind == "side":
-            rec.tweaked_phi = ensure_H1(rec.tipo, f)
-        if rec.dominators is None:
-            raise MissingDominatorData("record carries no domination list")
-        for q_idx, _ in rec.dominators:
-            if alphas[q_idx] is None:
-                raise MissingDominatorData("dominator assembled after its dependent")
-            elem = elem_mul(
-                elem, elem_pow(alphas[q_idx], -v_q_beta(result.primes, i, q_idx), f), f
-            )
-        alphas[i], k = _trim_to_p_part(elem, p)
-        rec.generator = (alphas[i].num, k)
+    primes = result.primes
+    betas = []
+    needs = []
+    for i, rec in enumerate(primes):
+        b = beta(rec, f, p)
+        trimmed, k = _trim_to_p_part(b, p)
+        need = {}
+        for j, q in enumerate(primes):
+            if j == i:
+                continue
+            try:
+                v = value_at_prime(q, trimmed.num, f, p) - k * q.e
+            except ZeroAtTheta:
+                v = None
+            if v is None or v > 0:
+                raise InvariantViolation("quotient with a positive value at another prime")
+            if v:
+                need[j] = -v
+        betas.append(b)
+        needs.append(need)
+    alphas: List[Optional[FieldElement]] = [None] * len(primes)
+    pending = list(range(len(primes)))
+    while pending:
+        ready = [i for i in pending if all(alphas[j] is not None for j in needs[i])]
+        if not ready:
+            raise InvariantViolation("generator corrections depend on each other")
+        for i in ready:
+            elem = betas[i]
+            for j, m in needs[i].items():
+                elem = elem_mul(elem, elem_pow(alphas[j], m, f), f)
+            alphas[i], k = _trim_to_p_part(elem, p)
+            primes[i].generator = (alphas[i].num, k)
+        pending = [i for i in pending if alphas[i] is None]
     return alphas
 
 
@@ -312,7 +305,7 @@ def _complete_type(record, f: IntPolynomial, p: int) -> Type:
         raise InvariantViolation("shortcut record with an unexpected polygon")
     res = t0.residual_on_side(sides[0], coeffs, cloud)
     fld = t0.order_data(1)[0]
-    return t0.extended(1, record.dede_mult, [fld.div(res[0], res[1]), fld.one], 1, ())
+    return t0.extended(1, record.dede_mult, [fld.div(res[0], res[1]), fld.one], 1)
 
 
 def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
@@ -322,31 +315,30 @@ def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
     exact value, so the minimum is the answer whenever it is attained once.
     A tie could hide cancellation, so the modulus is refined along the
     one-step polygon of f, raising its own value by at least one per round,
-    until the minimum separates.  Independent of the closed-form route: no
-    dominator data, no beta arithmetic.
+    until the minimum separates.  No beta arithmetic is involved.
     """
     if P.is_zero:
         raise ZeroAtTheta("the zero polynomial has no valuation")
-    T = record.value_type
-    if T is None:
+    if record.value_type is None:
         T = _complete_type(record, f, p)
+        H = _contact(T, f)
+    else:
+        T, H = record.value_type
     prev_h = 0
     rounds = 0
     while True:
-        T.ensure_rep()
         W = T.order + 1
-        H = _contact(T, f)
         _, cloud = T.newton_data(P)
         if H is None:
             # the modulus is the exact component factor; only j = 0 survives
-            record.value_type = T
+            record.value_type = T, H
             if 0 not in cloud:
                 raise ZeroAtTheta("vanishes identically on the prime's component")
             return cloud[0]
         vals = [u + j * H for j, u in cloud.items()]
         best = min(vals)
         if vals.count(best) == 1:
-            record.value_type = T
+            record.value_type = T, H
             return best
         if H <= prev_h:
             raise InvariantViolation("refinement failed to raise the contact")
@@ -355,7 +347,8 @@ def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
         side = principal_sides(sorted(fcloud.items()))[0]
         res = T.residual_on_side(side, fcoeffs, fcloud)
         fld = T.order_data(W)[0]
-        T = T.refined(H, [fld.div(res[0], res[1]), fld.one], 1, T.lineage)
+        T = T.refined(H, [fld.div(res[0], res[1]), fld.one], 1)
+        H = _contact(T, f)
         rounds += 1
         if rounds > 8 * (best + f.degree + 16):
             raise InvariantViolation("valuation separation did not terminate")

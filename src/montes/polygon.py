@@ -1,37 +1,38 @@
 """Newton polygon geometry.
 
 Point clouds live in Z^2: abscissas index phi-adic digits, ordinates are
-valuations (always integers in the scale of the working valuation).  Slopes
-are exact Fractions.  A "principal" polygon keeps only the sides of strictly
+valuations (always integers in the scale of the working valuation).  A side
+of slope -h/e carries h and e in lowest terms, so slopes are compared with
+integers only.  A "principal" polygon keeps only the sides of strictly
 negative slope, ordered by increasing slope, which is how they come off the
 lower convex hull.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InvariantViolation, NoPoints
 
 
 @dataclass(frozen=True)
 class Side:
+    """The segment from (x0, y0) to (x1, y1), x0 < x1, of slope -h/e with
+    e > 0 and gcd(h, e) = 1; it has steps = gcd(width, height) lattice steps
+    of width e."""
+
     x0: int
     y0: int
     x1: int
     y1: int
+    h: int = field(init=False)
+    e: int = field(init=False)
+    steps: int = field(init=False)
 
-    @property
-    def slope(self):
-        return Fraction(self.y1 - self.y0, self.x1 - self.x0)
-
-    @property
-    def h(self):
-        """Positive numerator of -slope (meaningful for negative slopes)."""
-        return -self.slope.numerator
-
-    @property
-    def e(self):
-        return self.slope.denominator
+    def __post_init__(self):
+        g = gcd(self.x1 - self.x0, self.y0 - self.y1)
+        object.__setattr__(self, "h", (self.y0 - self.y1) // g)
+        object.__setattr__(self, "e", (self.x1 - self.x0) // g)
+        object.__setattr__(self, "steps", g)
 
     @property
     def width(self):
@@ -40,11 +41,6 @@ class Side:
     @property
     def height(self):
         return self.y0 - self.y1
-
-    @property
-    def steps(self):
-        """Number of lattice steps along the side: d = gcd(width, height)."""
-        return self.width // self.e
 
 
 def lower_hull(points):
@@ -81,7 +77,7 @@ def principal_sides(points):
 def cut_sides(sides, hcut):
     """Keep the sides of slope strictly below -hcut (hcut a non-negative
     int).  They form a prefix of the side list."""
-    return [s for s in sides if s.slope < -hcut]
+    return [s for s in sides if s.h > hcut * s.e]
 
 
 def polygon_index(sides):

@@ -35,14 +35,10 @@ class Level:
 
     fld is the residue field ABOVE this level; up_V and up_w are the modulus
     value and twist unit of the polygon machinery one order up, fixed as soon
-    as the level is committed.  hop is the (pop, side) slot the level was
-    committed at, or None for levels built outside a run; generator assembly
-    uses it to find the steeper sides of the same polygon.
+    as the level is committed.
     """
 
-    __slots__ = (
-        "phi", "h", "e", "ell", "ellp", "psi", "f", "V", "fld", "up_V", "up_w", "hop",
-    )
+    __slots__ = ("phi", "h", "e", "ell", "ellp", "psi", "f", "V", "fld", "up_V", "up_w")
 
     def __init__(
         self,
@@ -52,7 +48,6 @@ class Level:
         psi: Sequence,
         V: int,
         below: Field,
-        hop=None,
     ):
         self.phi = phi
         self.h = h
@@ -67,20 +62,17 @@ class Level:
         if (self.ell * self.up_V) % e != 0:
             raise InvariantViolation("twist exponent is not integral")
         self.up_w = self.fld.pow(self.fld.gen(), -(self.ell * self.up_V) // e)
-        self.hop = hop
 
 
 class Type:
     """A branch of the splitting tree: committed levels plus a pending modulus.
 
     mult is the residual multiplicity the branch still has to resolve (1 means
-    the branch pins down a single prime).  lineage records (pop, side) slots
-    the branch passed through, used later to order the branches for ideal
-    generator assembly.  cut_h bounds the slopes of interest in the next
-    polygon: only sides steeper than -cut_h carry new information.
+    the branch pins down a single prime).  cut_h bounds the slopes of interest
+    in the next polygon: only sides steeper than -cut_h carry new information.
     """
 
-    __slots__ = ("p", "F1", "psi0", "levels", "phi", "cut_h", "mult", "lineage")
+    __slots__ = ("p", "F1", "psi0", "levels", "phi", "cut_h", "mult")
 
     def __init__(
         self,
@@ -91,7 +83,6 @@ class Type:
         phi: Optional[IntPolynomial],
         cut_h: int,
         mult: int,
-        lineage: Tuple = (),
     ):
         self.p = p
         self.F1 = F1
@@ -100,7 +91,6 @@ class Type:
         self.phi = phi
         self.cut_h = cut_h
         self.mult = mult
-        self.lineage = lineage
 
     @classmethod
     def order_zero(cls, p: int, psi0: Sequence, mult: int) -> "Type":
@@ -302,34 +292,24 @@ class Type:
         if self.phi is None:
             lvl = self.levels[-1]
             parent = Type(
-                self.p,
-                self.F1,
-                self.psi0,
-                self.levels[:-1],
-                lvl.phi,
-                0,
-                self.mult,
-                self.lineage,
+                self.p, self.F1, self.psi0, self.levels[:-1], lvl.phi, 0, self.mult
             )
             self.phi = parent.representative(lvl.h, lvl.e, lvl.psi)
 
     # --- branch moves ---
 
-    def refined(self, h: int, psi: Sequence, mult: int, lineage: Tuple) -> "Type":
+    def refined(self, h: int, psi: Sequence, mult: int) -> "Type":
         """Same-order branch with a better modulus of the same degree."""
         new_phi = self.representative(h, 1, psi)
         if new_phi.degree != self.phi.degree:
             raise RefineDegreeMismatch("refinement changed the modulus degree")
-        return Type(self.p, self.F1, self.psi0, self.levels, new_phi, h, mult, lineage)
+        return Type(self.p, self.F1, self.psi0, self.levels, new_phi, h, mult)
 
-    def extended(self, h: int, e: int, psi: Sequence, mult: int, lineage: Tuple) -> "Type":
+    def extended(self, h: int, e: int, psi: Sequence, mult: int) -> "Type":
         """Commit the pending modulus as a level; the next one is built lazily."""
         self.ensure_rep()
         W = self.order + 1
         _, _, VW = self.order_data(W)
         below = self.order_data(W)[0]
-        hop = lineage[-1] if lineage else None
-        lvl = Level(self.phi, h, e, psi, VW, below, hop)
-        return Type(
-            self.p, self.F1, self.psi0, self.levels + (lvl,), None, 0, mult, lineage
-        )
+        lvl = Level(self.phi, h, e, psi, VW, below)
+        return Type(self.p, self.F1, self.psi0, self.levels + (lvl,), None, 0, mult)

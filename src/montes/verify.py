@@ -72,17 +72,6 @@ def dedekind_oracle(f, p):
     return index_zero, (primes if index_zero else None)
 
 
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _poly_mod_mod_p(a, m, p):
     a = list(a)
     dm = len(m) - 1

@@ -37,10 +37,6 @@ class IntPolynomial:
     def x():
         return IntPolynomial((0, 1))
 
-    @staticmethod
-    def monomial(k, c=1):
-        return IntPolynomial((0,) * k + (c,))
-
     @property
     def degree(self):
         """Degree, with the zero polynomial at -1."""

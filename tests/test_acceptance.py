@@ -17,7 +17,6 @@ import time
 from montes.cli import main, poly_to_expr
 from montes.corpus import multi_branch, tower_phi
 from montes.driver import disc_valuation, factor_prime
-from montes.idealgen import v_q_beta
 from montes.polygon import cut_index, cut_sides, principal_sides, region_index
 from montes.verify import (
     NotApplicable,
@@ -30,7 +29,7 @@ from montes.zpoly import IntPolynomial, X, pval
 
 from .oracles import refinement_instance, sylvester_discriminant
 from .test_driver import random_squarefree
-from .test_idealgen import identity_grid, valuation_grid
+from .test_idealgen import corrections, identity_grid, valuation_grid
 from .test_polygon import _random_cloud, vertices_of
 from .test_zpoly import F12
 
@@ -246,11 +245,10 @@ def test_a7_generators(capsys):
     ok = ok and all(q.generator[1] >= 0 for q in r.primes)
 
     # Domination structure of the benchmark: three records each fold in one
-    # earlier generator, with correction exponents 4, 4 and 1.
-    dominated = [(i, q.dominators) for i, q in enumerate(r.primes) if q.dominators]
-    ok = ok and [len(d) for _, d in dominated] == [1, 1, 1]
-    expo = sorted(-v_q_beta(r.primes, i, d[0][0]) for i, d in dominated)
-    ok = ok and expo == [1, 4, 4]
+    # other generator, with correction exponents 4, 4 and 1.
+    fix = corrections(r)
+    ok = ok and len(fix) == 3 and len({i for i, _ in fix}) == 3
+    ok = ok and sorted(fix.values()) == [1, 4, 4]
 
     rng = random.Random(20260819)
     for _ in range(20):
@@ -263,7 +261,7 @@ def test_a7_generators(capsys):
     ok = ok and dt < 30.0
     assert report(
         capsys,
-        "A7 generators: identity valuation grid, p-power denominators, exponents {4,4,1}",
+        "A7 generators: identity grid, p-power denominators, correction exponents {4,4,1}",
         ok,
         f"{dt:.1f}s",
     )

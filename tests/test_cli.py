@@ -59,6 +59,9 @@ def test_parse_errors_carry_byte_offsets():
         ("x+", 2),
         ("x$", 1),
         ("", 0),
+        ("x\u3000+\u3000y", 8),  # ideographic spaces: three bytes each
+        ("x^\u00b2", 2),  # a superscript digit is no digit of the grammar
+        ("x+\ud800", 2),  # a lone surrogate counts as its three bytes
     ]:
         with pytest.raises(ParseError) as err:
             parse_poly(text)
@@ -143,6 +146,41 @@ def test_factor_generators_in_json(capsys):
     for g in gens:
         assert isinstance(g["p_power"], int)
         assert all(isinstance(c, str) for c in g["num"])
+
+
+def test_factor_generators_corrected_by_later_primes(capsys):
+    # The first prime's quotient is corrected by the generators of two
+    # primes that come after it in branch order.
+    code, out, err = run_cli(
+        capsys, "factor", "--prime", "2", "--poly",
+        "x^6+56*x^5-63*x^4-72*x^3+78*x^2+112*x-40", "--generators", "--json",
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert [(q["e"], q["f"]) for q in doc["primes"]] == [(2, 1)] + [(1, 1)] * 4
+    assert all(q["generator"] is not None for q in doc["primes"])
+
+
+def test_prime_size_cap_exit_2(capsys):
+    # Past 1024 bits the prime is refused before the Miller-Rabin test; at
+    # 1024 bits the test runs and finds this one composite.
+    big = str(2**1024 + 1)
+    for argv in [
+        ("factor", "--prime", big, "--poly", "x^2+1"),
+        ("corpus", "--family", "quartic-refine", "--prime", big),
+        ("bench", f"quartic-refine:{big}:1"),
+    ]:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "more than 1024 bits" in err, argv
+    code, _, err = run_cli(capsys, "factor", "--prime", str(2**1023 + 1), "--poly", "x^2+1")
+    assert code == 2 and "is not prime" in err
+
+
+def test_factor_poly_file_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "poly.txt"
+    path.write_bytes(b"x^2+\xff1")
+    code, _, err = run_cli(capsys, "factor", "--prime", "2", "--poly-file", str(path))
+    assert code == 2 and "syntax error at byte 4" in err
 
 
 def test_factor_poly_file_and_coeffs_format(tmp_path, capsys):

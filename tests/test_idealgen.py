@@ -1,15 +1,20 @@
-import dataclasses
 import random
-from fractions import Fraction
 
 import pytest
 
+from montes import idealgen
+from montes.cli import parse_poly
 from montes.driver import factor_prime
-from montes.errors import MissingDominatorData, ZeroAtTheta
-from montes.idealgen import beta, compute_generators, v_q_beta, value_at_prime
+from montes.errors import InvariantViolation, ZeroAtTheta
+from montes.idealgen import beta, compute_generators, value_at_prime
 from montes.zpoly import IntPolynomial, X, content, is_squarefree, pval
 
+from .oracles import sylvester_resultant
 from .test_zpoly import F12
+
+# At 2, the first prime's quotient needs the generators of the second and
+# third primes, which come after it in branch order.
+LATE_CORRECTIONS = parse_poly("x^6+56*x^5-63*x^4-72*x^3+78*x^2+112*x-40")
 
 
 def lin(c):
@@ -32,6 +37,20 @@ def identity_grid(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def corrections(result):
+    """{(i, j): -v_j(beta_i)} for the pairs i != j whose value is nonzero."""
+    f, p = result.poly, result.p
+    out = {}
+    for i, rec in enumerate(result.primes):
+        b = beta(rec, f, p)
+        for j, q in enumerate(result.primes):
+            if j != i:
+                v = value_at_prime(q, b.num, f, p) - q.e * pval(b.den, p)
+                if v:
+                    out[(i, j)] = -v
+    return out
+
+
 def test_generators_off_by_default():
     r = factor_prime(F12, 2)
     assert all(rec.generator is None for rec in r.primes)
@@ -46,37 +65,37 @@ def test_benchmark_domination_structure():
     # Three pairs of branches; in each pair the steeper side dominates the
     # shallower one and nothing crosses between pairs.
     r = factor_prime(F12, 2, generators=True)
-    doms = [rec.dominators for rec in r.primes]
-    assert doms == [
-        [],
-        [(0, Fraction(-9))],
-        [],
-        [(2, Fraction(-8))],
-        [],
-        [(4, Fraction(-3, 2))],
-    ]
-    exps = sorted(
-        -v_q_beta(r.primes, i, q) for i, rec in enumerate(r.primes)
-        for q, _ in rec.dominators
-    )
-    assert exps == [1, 4, 4]
+    assert corrections(r) == {(1, 0): 4, (3, 2): 1, (5, 4): 4}
 
 
 def test_benchmark_beta_values():
-    # Each quotient has value one at its own prime, and on dominating pairs
-    # the closed form agrees with the expansion-value route.
+    # Each quotient has value one at its own prime, and every nonzero value
+    # it has at another prime is negative.
     r = factor_prime(F12, 2, generators=True)
-    for i, rec in enumerate(r.primes):
+    for rec in r.primes:
         b = beta(rec, F12, 2)
-        own = value_at_prime(rec, b.num, F12, 2) - rec.e * pval(b.den, 2)
-        assert own == 1
-        for q, _ in rec.dominators:
-            via_value = (
-                value_at_prime(r.primes[q], b.num, F12, 2)
-                - r.primes[q].e * pval(b.den, 2)
-            )
-            assert via_value == v_q_beta(r.primes, i, q)
-            assert via_value < 0
+        assert value_at_prime(rec, b.num, F12, 2) - rec.e * pval(b.den, 2) == 1
+    assert all(v > 0 for v in corrections(r).values())
+
+
+def test_corrections_from_later_primes():
+    r = factor_prime(LATE_CORRECTIONS, 2, generators=True)
+    assert corrections(r) == {(0, 1): 1, (0, 2): 1, (2, 1): 1, (4, 3): 1}
+    assert valuation_grid(r) == identity_grid(5)
+
+
+def test_positive_off_diagonal_value_is_an_invariant_violation(monkeypatch):
+    r = factor_prime(X * lin(2), 2)
+    monkeypatch.setattr(idealgen, "value_at_prime", lambda q, G, f, p: 10**6)
+    with pytest.raises(InvariantViolation):
+        compute_generators(r)
+
+
+def test_cyclic_corrections_are_an_invariant_violation(monkeypatch):
+    r = factor_prime(X * lin(2), 2)
+    monkeypatch.setattr(idealgen, "value_at_prime", lambda q, G, f, p: -1)
+    with pytest.raises(InvariantViolation):
+        compute_generators(r)
 
 
 def test_trimmed_output_form():
@@ -149,17 +168,6 @@ def test_value_route_basics():
     assert zeros == 1
 
 
-def test_missing_dominators_is_reported():
-    r = factor_prime(F12, 2, generators=True)
-    bare = dataclasses.replace(r.primes[1], dominators=None)
-    records = [r.primes[0], bare] + r.primes[2:]
-    with pytest.raises(MissingDominatorData):
-        v_q_beta(records, 1, 0)
-    stub = dataclasses.replace(r, primes=records)
-    with pytest.raises(MissingDominatorData):
-        compute_generators(stub)
-
-
 def test_random_grids():
     rng = random.Random(20250818)
     done = 0
@@ -172,4 +180,8 @@ def test_random_grids():
         p = rng.choice([2, 3, 5])
         r = factor_prime(f, p, generators=True)
         assert valuation_grid(r) == identity_grid(len(r.primes))
+        # v_p(N(alpha_P)) = f_P, read off a resultant the program never forms
+        for rec in r.primes:
+            G, k = rec.generator
+            assert pval(sylvester_resultant(f.coeffs, G.coeffs), p) == k * f.degree + rec.f
         done += 1

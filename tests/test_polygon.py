@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from fractions import Fraction
 
 from montes.errors import NoPoints
 from montes.polygon import (
@@ -30,7 +29,7 @@ def test_hull_and_principal_pinned():
     assert lower_hull(cloud) == cloud
     sides = principal_sides(cloud)
     assert [(s.x0, s.y0, s.x1, s.y1) for s in sides] == [(0, 3, 1, 1), (1, 1, 2, 0)]
-    assert [s.slope for s in sides] == [Fraction(-2), Fraction(-1)]
+    assert [(s.h, s.e) for s in sides] == [(2, 1), (1, 1)]
     assert polygon_index(sides) == 1
     assert lattice_index_oracle(vertices_of(sides)) == 1
 
@@ -40,13 +39,12 @@ def test_hull_drops_interior_and_collinear():
     hull = lower_hull(cloud)
     assert hull == [(0, 6), (2, 2), (4, 0)]
     sides = principal_sides(cloud)
-    assert [s.slope for s in sides] == [Fraction(-2), Fraction(-1)]
+    assert [(s.h, s.e) for s in sides] == [(2, 1), (1, 1)]
     assert sides[0].steps == 2 and sides[0].h == 2 and sides[0].e == 1
 
 
 def test_side_invariants():
     s = Side(1, 9, 5, 3)
-    assert s.slope == Fraction(-3, 2)
     assert (s.h, s.e) == (3, 2)
     assert s.width == 4 and s.height == 6 and s.steps == 2
 
@@ -115,7 +113,7 @@ def test_affine_h_commutes_with_hull():
 def test_affine_h_shifts_slopes():
     cloud = [(0, 5), (1, 2), (2, 0)]
     sides = principal_sides(affine_h(cloud, 2))
-    assert [s.slope for s in sides] == [Fraction(-5), Fraction(-4)]
+    assert [(s.h, s.e) for s in sides] == [(5, 1), (4, 1)]
 
 
 def test_empty_cloud_raises():
