@@ -35,8 +35,11 @@ def _shift(f: IntPolynomial, k: int) -> IntPolynomial:
 def tower_phi(level: int) -> IntPolynomial:
     """Member of the order-raising chain at p = 2; level 1 through 8.
 
-    Each phi is irreducible with a single prime above 2, one level deeper
-    than the previous one.
+    Each member is built one level deeper than the previous one.  Levels 1-4
+    have a single prime above 2, (1,2), (1,4), (2,8) and (2,16).  Level 5
+    splits into (2,8) and (10,8) by both the refining and the order-climbing
+    routes, and level 6 measures four primes; no independent check settles
+    levels 5-8 yet.
     """
     if not 1 <= level <= 8:
         raise InputError("tower level must be between 1 and 8")

@@ -1,6 +1,6 @@
 """Two-element generators (p, alpha) for the primes above p.
 
-Each completed branch yields a fraction beta with valuation 1 at its own
+Each completed branch yields a quotient beta with valuation 1 at its own
 prime: the pending modulus, tweaked so that its polygon of f is one-sided of
 slope -1, divided by the previous modulus raised to e*f.  At every other
 prime beta has value 0, except at the primes that split off a steeper side
@@ -8,8 +8,13 @@ of the same polygon, where the value is negative.  Those values are read
 with value_at_prime, the same route the discriminant and the checks use, and
 multiplying by the generators of those primes, raised to the opposite
 exponent, clears them; a prime is assembled once every prime it needs is.
-The last step keeps only the p-part of the denominator, which repairs
-integrality away from p without moving any valuation above p.
+
+Nothing is computed over Q.  An element is G(theta)/p^k with G integral,
+and only G mod p^(k+2) is kept: changing G by p^(k+2) times anything
+integral changes the element by a value of at least 2 at every prime over
+p, strictly above both 0 and 1, so it moves none of the values that matter.
+The one division, by a power of the previous modulus, is an extended Euclid
+over Z_p at a precision it certifies itself (p_adic_inverse).
 
 A squarefree but reducible f needs two escapes the irreducible case never
 meets.  A modulus that divides f exactly is a zero divisor, so the quotient
@@ -22,104 +27,139 @@ no denominator of smaller degree separates it from its siblings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import (
-    InvariantViolation,
-    NotInvertible,
-    UnliftableTarget,
-    ZeroAtTheta,
-)
+from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
+from .ffield import _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
 from .polygon import principal_sides
 from .types import Type
-from .zpoly import (
-    IntPolynomial,
-    ONE,
-    content,
-    pval,
-    rat_divmod,
-    rat_from_int,
-    rat_mul,
-    rat_trim,
-    vpoly,
-    xgcd_rat,
-)
+from .zpoly import IntPolynomial, pval, vpoly
 
 
 @dataclass(frozen=True)
 class FieldElement:
-    """num(theta)/den in Q[x]/(f): deg num < deg f, den > 0, content-reduced."""
+    """num(theta)/p^p_power, with num of p-content one when p_power >= 1."""
 
     num: IntPolynomial
-    den: int
+    p_power: int
 
 
-def _make_elem(num: IntPolynomial, den: int) -> FieldElement:
-    if den <= 0:
-        raise InvariantViolation("element denominator must be positive")
-    g = gcd(content(num), den)
-    if g > 1:
-        num = IntPolynomial(tuple(c // g for c in num.coeffs))
-        den //= g
-    return FieldElement(num, den)
+def _element(num: Sequence[int], K: int, p: int, A: int = 2) -> FieldElement:
+    """num(theta)/p^K with the p-content cancelled and num folded into the
+    symmetric range mod p^(k+A); num need only be right mod p^(K+A)."""
+    g = gcd(*num)
+    c = min(pval(g, p), K) if g else K
+    k, pc = K - c, p**c
+    m = p ** (k + A)
+    G = IntPolynomial(tuple(((x // pc + m // 2) % m) - m // 2 for x in num))
+    return FieldElement(G, k)
 
 
-def _rat_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return rat_trim(out)
+def _mul(x: FieldElement, y: FieldElement, f: IntPolynomial, p: int, A: int) -> FieldElement:
+    """x*y up to p^A times an integral element, for y integral and known as
+    closely: the content cancelled at each product keeps the denominator at
+    the size the element needs, however many factors went into it."""
+    K = x.p_power + y.p_power
+    q = p ** (K + A)
+    num = _mulmod(x.num.coeffs, y.num.coeffs, _zp_divisor(f.coeffs, q), q)
+    return _element(num, K, p, A)
 
 
-def _rat_powmod(base, k: int, modulus) -> Tuple[Fraction, ...]:
-    out = (Fraction(1),)
-    b = rat_divmod(base, modulus)[1]
-    while k:
-        if k & 1:
-            out = rat_divmod(rat_mul(out, b), modulus)[1]
-        k >>= 1
-        if k:
-            b = rat_divmod(rat_mul(b, b), modulus)[1]
+def _pow(x: FieldElement, m: int, f: IntPolynomial, p: int, A: int) -> FieldElement:
+    out = x
+    for bit in bin(m)[3:]:
+        out = _mul(out, out, f, p, A)
+        if bit == "1":
+            out = _mul(out, x, f, p, A)
     return out
 
 
-def elem_from_rat(coeffs: Sequence[Fraction], f: IntPolynomial) -> FieldElement:
-    """Reduce a rational polynomial modulo f and clear denominators."""
-    _, rem = rat_divmod(rat_trim(coeffs), rat_from_int(f))
-    if not rem:
-        return FieldElement(IntPolynomial(), 1)
-    den = 1
-    for c in rem:
-        den = lcm(den, c.denominator)
-    num = IntPolynomial(tuple(int(c * den) for c in rem))
-    return _make_elem(num, den)
+def _mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], q: int) -> List[int]:
+    return _zp_divmod(_zp_mul(a, b), m, q)[1]
 
 
-def elem_mul(a: FieldElement, b: FieldElement, f: IntPolynomial) -> FieldElement:
-    num = (a.num * b.num).divmod_monic(f)[1]
-    return _make_elem(num, a.den * b.den)
-
-
-def elem_pow(a: FieldElement, k: int, f: IntPolynomial) -> FieldElement:
-    out = FieldElement(ONE, 1)
-    b = a
-    while k:
-        if k & 1:
-            out = elem_mul(out, b, f)
-        k >>= 1
-        if k:
-            b = elem_mul(b, b, f)
+def _powmod(a: Sequence[int], k: int, m: Sequence[int], q: int) -> List[int]:
+    out = [1]
+    for bit in bin(k)[2:]:
+        out = _mulmod(out, out, m, q)
+        if bit == "1":
+            out = _mulmod(out, a, m, q)
     return out
 
 
-def _invert_mod(d: IntPolynomial, m: IntPolynomial) -> Tuple[Fraction, ...]:
-    """s with s*d = 1 mod m, or NotInvertible when d and m share a factor."""
-    g, s, _ = xgcd_rat(rat_from_int(d), rat_from_int(m))
-    if len(g) != 1:
-        raise NotInvertible("denominator shares a factor with the modulus")
-    return rat_divmod(s, rat_from_int(m))[1]
+def _euclid(a: List[int], m: List[int], p: int, N: int) -> Optional[Tuple[List[int], int]]:
+    """y, w with y*a = p^w (mod m, p^N), or None when p^N is too coarse.
+
+    a and m are reduced mod p^N and m is monic.  Every row keeps
+    s*a = p^e*r (mod m, p^N) exactly, with r of p-content one, so r is only
+    known mod p^(N-e) and a coefficient that vanishes there is dropped.  A
+    remainder is divided by the unit part of the divisor's leading
+    coefficient, and scaled by p wherever its own leading coefficient is
+    less divisible; the scaling lands on the older row, whose e is smaller.
+    """
+    q = p**N
+    r0, s0, e0 = m, [], 0
+    r1, s1, e1 = _zp_divmod(a, m, q)[1], [1], 0
+    while True:
+        r1 = _zp_reduce(r1, p ** (N - e1))
+        if not r1:
+            return None
+        c = pval(gcd(*r1), p)
+        r1, e1 = [x // p**c for x in r1], e1 + c
+        if len(r1) == 1:
+            u = pow(r1[0], -1, q)
+            return _zp_divmod([x * u for x in s1], m, q)[1], e1
+        db, v = len(r1) - 1, pval(r1[-1], p)
+        pv = p**v
+        u = pow(r1[-1] // pv, -1, q)
+        rem, quo, shift = list(r0), [0] * (len(r0) - db), 0
+        for i in range(len(rem) - 1, db - 1, -1):
+            lead = rem[i] % q
+            if not lead:
+                continue
+            t = pval(lead, p)
+            if t < v:
+                scale = p ** (v - t)
+                rem = [x * scale % q for x in rem[: i + 1]]
+                quo = [x * scale % q for x in quo]
+                shift += v - t
+                lead = rem[i]
+            quo[i - db] = qi = lead // pv * u % q
+            for j in range(db):
+                rem[i - db + j] -= qi * r1[j]
+        # p^shift*r0 - quo*r1 = rem, so this row has e = e1 before its content
+        scale = p ** (e1 - e0 + shift)
+        s2 = [x * scale for x in s0]
+        s2 += [0] * (len(s1) + len(quo) - 1 - len(s2))
+        for i, x in enumerate(_zp_mul(quo, s1)):
+            s2[i] -= x
+        r0, s0, e0 = r1, s1, e1
+        r1, s1 = rem[:db], _zp_reduce(s2, q)
+
+
+def p_adic_inverse(
+    a: IntPolynomial, k: int, m: IntPolynomial, p: int
+) -> Tuple[List[int], int, int]:
+    """y, w and N with y*a^k = p^w (mod m, p^N) and N >= 2w + 2.
+
+    m is monic and a^k has no common factor with it over Q.  N starts small
+    and doubles until the Euclid finds a w, then grows to 2w + 2 until the
+    w found certifies it: y/p^w differs from 1/a^k by an element of value at
+    least (N - 2w)*e >= 2e at every prime over p, since a^k has value at
+    most w*e there.
+    """
+    N = 16
+    while True:
+        q = p**N
+        mq = _zp_divisor(m.coeffs, q)
+        found = _euclid(_powmod(a.coeffs, k, mq, q), mq, p, N)
+        if found is None:
+            N *= 2
+        elif N < 2 * found[1] + 2:
+            N = 2 * found[1] + 2
+        else:
+            return found[0], found[1], N
 
 
 def _contact(tipo: Type, f: IntPolynomial) -> Optional[int]:
@@ -157,16 +197,24 @@ def ensure_H1(tipo: Type, f: IntPolynomial) -> IntPolynomial:
     return phi_hat
 
 
-def _glue_on_complement(
-    core: Sequence[Fraction], d: IntPolynomial, g: IntPolynomial, f: IntPolynomial
+def _glue(
+    num: IntPolynomial, w0: int, d: IntPolynomial, j: int, g: IntPolynomial, p: int
 ) -> FieldElement:
-    # element congruent to core mod g and to 1 mod d, built from s*d + t*g = 1
-    one, s, t = xgcd_rat(rat_from_int(d), rat_from_int(g))
-    if len(one) != 1:
-        raise InvariantViolation("exact divisor of a squarefree input repeats")
-    part_g = rat_mul(core, rat_mul(s, rat_from_int(d)))
-    part_d = rat_mul(t, rat_from_int(g))
-    return elem_from_rat(_rat_add(part_g, part_d), f)
+    """num/(p^w0 * d^(j-1)) on the components of g, and 1 on those of d.
+
+    With y*d^j = p^w (mod g, p^N) this is
+    1 + d*((num - p^w0*d^(j-1))*y mod g)/p^(w0+w), exact where d vanishes.
+    On the components of g it is t + (t - 1)*eps for the target t, with
+    v(eps) >= (N - w)*e, so the error is at least 2e: t is a uniformizer,
+    or has value at least -w*e, as num/d^(j-1) has.
+    """
+    y, w, _ = p_adic_inverse(d, j, g, p)
+    W = w0 + w
+    q = p ** (W + 2)
+    gq = _zp_divisor(g.coeffs, q)
+    top = IntPolynomial(_powmod(d.coeffs, j - 1, gq, q)) * p**w0
+    core = IntPolynomial(_mulmod((num - top).coeffs, y, gq, q))
+    return _element((d * core + IntPolynomial((p**W,))).coeffs, W, p)
 
 
 def beta(record, f: IntPolynomial, p: int) -> FieldElement:
@@ -178,10 +226,10 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
         if record.dede_mult == 1:
             rem = f.divmod_monic(phi)[1]
             if not rem.is_zero and vpoly(rem, p) == 1:
-                return _make_elem(phi, 1)
-            return _make_elem(phi + IntPolynomial((p,)), 1)
+                return _element(phi.coeffs, 0, p)
+            return _element((phi + IntPolynomial((p,))).coeffs, 0, p)
         # v(phi(theta)) = 1 exactly on the slope -1/e side, 0 elsewhere
-        return _make_elem(phi, 1)
+        return _element(phi.coeffs, 0, p)
 
     tipo = record.tipo
     tipo.ensure_rep()
@@ -201,15 +249,14 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
                 continue
         if pi is None:
             raise InvariantViolation("no liftable uniformizer target")
-        pi_rat = tuple(Fraction(c, p**w) for c in pi.coeffs)
         d = tipo.phi
         if d == f:
-            return elem_from_rat(pi_rat, f)
+            return _element(pi.divmod_monic(f)[1].coeffs, w, p)
         quo, rem = f.divmod_monic(d)
         if not rem.is_zero:
             raise InvariantViolation("factor record whose modulus does not divide f")
-        # the uniformizer lives on the component of d itself
-        return _glue_on_complement(pi_rat, quo, d, f)
+        # the uniformizer pi/p^w lives on the component of d itself
+        return _glue(pi, w, quo, 1, d, p)
 
     lvl = tipo.levels[-1]
     phi_hat = ensure_H1(tipo, f)
@@ -217,43 +264,22 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     d = lvl.phi
     quo, rem = f.divmod_monic(d)
     if rem.is_zero:
-        # zero divisor: invert on the complementary factor and glue 1 back
-        s = _invert_mod(d, quo)
-        core = rat_divmod(
-            rat_mul(rat_from_int(phi_hat), _rat_powmod(s, k, rat_from_int(quo))),
-            rat_from_int(quo),
-        )[1]
-        return _glue_on_complement(core, d, quo, f)
-    s = _invert_mod(d, f)
-    return elem_from_rat(
-        rat_mul(rat_from_int(phi_hat), _rat_powmod(s, k, rat_from_int(f))), f
-    )
-
-
-def _trim_to_p_part(elem: FieldElement, p: int) -> Tuple[FieldElement, int]:
-    """alpha = G(theta)/p^k from a reduced fraction, with small G.
-
-    Dropping the prime-to-p unit of the denominator moves no valuation above
-    p, and neither does changing G by p^(k+2) times anything integral: such a
-    change has value at least 2 at every prime over p, strictly above both 0
-    and 1.  Coefficients are therefore folded into the symmetric range.
-    """
-    k = pval(elem.den, p)
-    m = p ** (k + 2)
-    G = IntPolynomial(tuple(((c + m // 2) % m) - m // 2 for c in elem.num.coeffs))
-    return FieldElement(G, p**k), k
+        # zero divisor: the quotient lives on the complementary factor
+        return _glue(phi_hat, 0, d, k + 1, quo, p)
+    y, w, _ = p_adic_inverse(d, k, f, p)
+    q = p ** (w + 2)
+    return _element(_mulmod(phi_hat.coeffs, y, _zp_divisor(f.coeffs, q), q), w, p)
 
 
 def compute_generators(result) -> List[FieldElement]:
     """Fill generator = (G, k) with alpha = G(theta)/p^k on every record.
 
-    v_Q(beta_P) is read off the trimmed beta_P for every other prime Q;
-    trimming moves no value below 2*e_Q, and every such value must be at
-    most 0.  alpha_P is beta_P times alpha_Q^(-v) over the Q with v < 0, so
-    it is assembled once all those alpha_Q are.  The value of beta_P at P
-    itself is left to the caller's grid check: it is the costly one.  The
-    returned list holds the trimmed elements, whose valuations above p form
-    the identity grid.
+    v_Q(beta_P) is read off beta_P for every other prime Q, and every such
+    value must be at most 0.  alpha_P is beta_P times alpha_Q^(-v) over the
+    Q with v < 0, so it is assembled once all those alpha_Q are.  The value
+    of beta_P at P itself is left to the caller's grid check: it is the
+    costly one.  The returned elements' valuations above p form the identity
+    grid.
     """
     f, p = result.poly, result.p
     primes = result.primes
@@ -261,13 +287,12 @@ def compute_generators(result) -> List[FieldElement]:
     needs = []
     for i, rec in enumerate(primes):
         b = beta(rec, f, p)
-        trimmed, k = _trim_to_p_part(b, p)
         need = {}
         for j, q in enumerate(primes):
             if j == i:
                 continue
             try:
-                v = value_at_prime(q, trimmed.num, f, p) - k * q.e
+                v = value_at_prime(q, b.num, f, p) - b.p_power * q.e
             except ZeroAtTheta:
                 v = None
             if v is None or v > 0:
@@ -283,11 +308,12 @@ def compute_generators(result) -> List[FieldElement]:
         if not ready:
             raise InvariantViolation("generator corrections depend on each other")
         for i in ready:
-            elem = betas[i]
+            # beta_i has value at least -w*e, so its factors need p^(w+2)
+            elem, A = betas[i], betas[i].p_power + 2
             for j, m in needs[i].items():
-                elem = elem_mul(elem, elem_pow(alphas[j], m, f), f)
-            alphas[i], k = _trim_to_p_part(elem, p)
-            primes[i].generator = (alphas[i].num, k)
+                elem = _mul(elem, _pow(alphas[j], m, f, p, A), f, p, A)
+            alphas[i] = _element(elem.num.coeffs, elem.p_power, p)
+            primes[i].generator = (alphas[i].num, alphas[i].p_power)
         pending = [i for i in pending if alphas[i] is None]
     return alphas
 

@@ -1,18 +1,14 @@
-"""Exact arithmetic for dense polynomials over Z, plus the few rational
-polynomial routines the rest of the package needs.
+"""Exact arithmetic for dense polynomials over Z.
 
 Coefficients are arbitrary-precision Python ints, stored ascending (index i
 holds the x^i coefficient) with trailing zeros trimmed, so the representation
 of a polynomial is canonical and hashable.
 """
 
-from fractions import Fraction
-
 from .errors import (
     DegreeTooSmall,
     DivisionByZero,
     NonMonicModulus,
-    NotInvertible,
     ZeroPolynomial,
 )
 from .ffield import Field, pgcd, ptrim
@@ -28,14 +24,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @staticmethod
-    def constant(c):
-        return IntPolynomial((c,))
-
-    @staticmethod
-    def x():
-        return IntPolynomial((0, 1))
 
     @property
     def degree(self):
@@ -172,8 +160,6 @@ class IntPolynomial:
         return "".join(parts)
 
 
-ZERO = IntPolynomial()
-ONE = IntPolynomial((1,))
 X = IntPolynomial((0, 1))
 
 
@@ -324,78 +310,6 @@ def is_squarefree(f):
             if len(pgcd(K, fq, dq)) == 1:
                 return True
     return gcd_z(f, df).degree == 0
-
-
-# ---------------------------------------------------------------------------
-# Rational polynomials (tuples of Fraction, ascending).  Only what the ideal
-# generator construction needs: division and the extended gcd.
-
-def rat_from_int(f):
-    return tuple(Fraction(c) for c in f.coeffs)
-
-
-def rat_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def rat_divmod(a, b):
-    a, b = rat_trim(a), rat_trim(b)
-    if not b:
-        raise DivisionByZero("rational polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    inv = 1 / b[-1]
-    while len(rem) >= len(b):
-        c = rem[-1] * inv
-        pos = len(rem) - len(b)
-        q[pos] = c
-        for j in range(len(b)):
-            rem[pos + j] -= c * b[j]
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rat_trim(q), rat_trim(rem)
-
-
-def rat_mul(a, b):
-    a, b = rat_trim(a), rat_trim(b)
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return rat_trim(out)
-
-
-def rat_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return rat_trim(out)
-
-
-def xgcd_rat(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g, g monic
-    (or zero)."""
-    r0, r1 = rat_trim(a), rat_trim(b)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = rat_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, rat_sub(s0, rat_mul(q, s1))
-        t0, t1 = t1, rat_sub(t0, rat_mul(q, t1))
-    if not r0:
-        return (), s0, t0
-    lead = r0[-1]
-    inv = 1 / lead
-    scale = lambda u: tuple(c * inv for c in u)
-    return scale(r0), scale(s0), scale(t0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from montes.verify import (
     refinement_equivalence_check,
     tame_disc_check,
 )
-from montes.zpoly import IntPolynomial, X, pval
+from montes.zpoly import IntPolynomial, pval
 
 from .oracles import refinement_instance, sylvester_discriminant
 from .test_driver import random_squarefree

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from montes import idealgen
 from montes.cli import parse_poly
 from montes.driver import factor_prime
 from montes.errors import InvariantViolation, ZeroAtTheta
-from montes.idealgen import beta, compute_generators, value_at_prime
-from montes.zpoly import IntPolynomial, X, content, is_squarefree, pval
+from montes.corpus import tower_phi
+from montes.idealgen import beta, compute_generators, p_adic_inverse, value_at_prime
+from montes.zpoly import IntPolynomial, X, content, gcd_z, is_squarefree, pval
 
 from .oracles import sylvester_resultant
 from .test_zpoly import F12
@@ -45,7 +48,7 @@ def corrections(result):
         b = beta(rec, f, p)
         for j, q in enumerate(result.primes):
             if j != i:
-                v = value_at_prime(q, b.num, f, p) - q.e * pval(b.den, p)
+                v = value_at_prime(q, b.num, f, p) - q.e * b.p_power
                 if v:
                     out[(i, j)] = -v
     return out
@@ -74,7 +77,7 @@ def test_benchmark_beta_values():
     r = factor_prime(F12, 2, generators=True)
     for rec in r.primes:
         b = beta(rec, F12, 2)
-        assert value_at_prime(rec, b.num, F12, 2) - rec.e * pval(b.den, 2) == 1
+        assert value_at_prime(rec, b.num, F12, 2) - rec.e * b.p_power == 1
     assert all(v > 0 for v in corrections(r).values())
 
 
@@ -185,3 +188,37 @@ def test_random_grids():
             G, k = rec.generator
             assert pval(sylvester_resultant(f.coeffs, G.coeffs), p) == k * f.degree + rec.f
         done += 1
+
+
+def test_tower_level_four_generator():
+    # Degree 32, one prime (2,16): a deep quotient whose inverse needs a few
+    # precision doublings.
+    f = tower_phi(4)
+    r = factor_prime(f, 2, generators=True)
+    assert [(rec.e, rec.f) for rec in r.primes] == [(2, 16)]
+    assert valuation_grid(r) == identity_grid(1)
+    G, k = r.primes[0].generator
+    assert pval(sylvester_resultant(f.coeffs, G.coeffs), 2) == k * f.degree + r.primes[0].f
+
+
+small_monic = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(
+    lambda c: IntPolynomial(c + [1])
+)
+small_poly = st.lists(st.integers(-9, 9), max_size=6).map(IntPolynomial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 13]), small_monic, small_monic, small_poly, small_poly,
+    st.integers(1, 3), st.integers(1, 3),
+)
+def test_p_adic_inverse_certifies_its_precision(p, g, h, r, s, j, k):
+    # f = g*h + p^j*r and a = g + p*s share the factor g mod p, but not over Q.
+    f = g * h + r * p**j
+    a = g + s * p
+    assume(f.is_monic and f.degree == g.degree + h.degree and is_squarefree(f))
+    assume(not a.is_zero and gcd_z(f, a).degree == 0)
+    y, w, N = p_adic_inverse(a, k, f, p)
+    err = (IntPolynomial(y) * a**k - IntPolynomial([p**w])).divmod_monic(f)[1]
+    assert all(c % p**N == 0 for c in err.coeffs)
+    assert N >= 2 * w + 2

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from montes.errors import ForbiddenResidualY, UnliftableTarget
-from montes.ffield import Field, factor as ffactor
+from montes.ffield import factor as ffactor
 from montes.polygon import principal_sides
 from montes.types import Type
-from montes.zpoly import IntPolynomial, vpoly
+from montes.zpoly import IntPolynomial
 
 from .test_zpoly import F12
 

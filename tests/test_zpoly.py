@@ -12,12 +12,7 @@ from montes.zpoly import (
     is_squarefree,
     phi_expand,
     pval,
-    rat_divmod,
-    rat_from_int,
-    rat_mul,
-    rat_sub,
     vpoly,
-    xgcd_rat,
 )
 
 from .oracles import sylvester_discriminant
@@ -173,18 +168,6 @@ def test_is_squarefree():
     assert is_squarefree(IntPolynomial([1, 0, 2]))
     assert is_squarefree(IntPolynomial([1, 0, 1]))  # f' vanishes mod 2
     assert is_squarefree(IntPolynomial([1, 2]) * IntPolynomial([1, 6]))
-
-
-@given(small_polys, small_polys)
-def test_xgcd_rat_bezout(a, b):
-    ra, rb = rat_from_int(a), rat_from_int(b)
-    g, s, t = xgcd_rat(ra, rb)
-    bezout = rat_sub(rat_mul(s, ra), rat_sub((), rat_mul(t, rb)))  # s*a + t*b
-    assert rat_sub(bezout, g) == ()
-    if g:
-        assert g[-1] == 1
-        assert rat_divmod(ra, g)[1] == ()
-        assert rat_divmod(rb, g)[1] == ()
 
 
 def test_is_prime():
