@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: factor (the main computation), corpus (stress-input
-constructors), bench (timing table), verify (hidden; oracle self-checks).
+constructors), bench (timing table).
 Exit codes: 0 success, 2 invalid input, 3 internal invariant violation.
 
 All big numbers cross the JSON boundary as decimal strings; everything that
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -374,48 +373,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-# --- hidden verify subcommand ---
-
-
-def cmd_verify(args) -> int:
-    from . import verify as V
-    from .zpoly import X, is_squarefree
-
-    rng = random.Random(args.seed)
-    failures = 0
-
-    def report(label: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{label}: {'ok' if ok else 'FAIL'}")
-        failures += 0 if ok else 1
-
-    if args.suite in ("dedekind", "all"):
-        zero, primes = V.dedekind_oracle(IntPolynomial([1, 0, 1]), 2)
-        report("dedekind x^2+1 at 2", zero and primes == [(2, 1)])
-    if args.suite in ("lattice", "all"):
-        report("lattice unit side", V.lattice_index_oracle([(0, 1), (1, 0)]) == 0)
-        report("lattice steep side", V.lattice_index_oracle([(0, 3), (1, 1), (2, 0)]) == 1)
-    if args.suite in ("tame", "all"):
-        disc_v = disc_valuation(factor_prime(IntPolynomial([-3, 0, 1]), 3))
-        lhs, rhs = V.tame_disc_check(disc_v, 3, 0, [(2, 1)])
-        report("tame x^2-3 at 3", lhs == rhs)
-    if args.suite in ("refinement", "all"):
-        ok = True
-        for _ in range(10):
-            k = rng.randint(1, 4)
-            a = rng.randint(-5, 5)
-            f = (X - IntPolynomial([a])) ** 2 + IntPolynomial([2 ** (2 * k)])
-            if not is_squarefree(f):
-                continue
-            ok = ok and V.refinement_equivalence_check(f, 2)
-        report("refinement random family", ok)
-    if args.suite not in ("dedekind", "lattice", "tame", "refinement", "all"):
-        raise InputError(f"unknown suite {args.suite!r}")
-    if failures:
-        raise InvariantViolation(f"{failures} verify check(s) failed")
-    return 0
-
-
 # --- argument plumbing ---
 
 
@@ -462,11 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     be.add_argument("--generators", action="store_true")
     be.add_argument("--seed", type=int, default=0)
     be.set_defaults(run=cmd_bench)
-
-    ve = sub.add_parser("verify")
-    ve.add_argument("--suite", default="all")
-    ve.add_argument("--seed", type=int, default=0)
-    ve.set_defaults(run=cmd_verify)
 
     return ap
 

@@ -23,15 +23,6 @@ def _c(n: int) -> IntPolynomial:
     return IntPolynomial([n])
 
 
-def _shift(f: IntPolynomial, k: int) -> IntPolynomial:
-    # f(x + k) by Horner over polynomials.
-    xk = X + _c(k)
-    out = IntPolynomial([])
-    for c in reversed(f.coeffs):
-        out = out * xk + _c(c)
-    return out
-
-
 def tower_phi(level: int) -> IntPolynomial:
     """Member of the order-raising chain at p = 2; level 1 through 8.
 
@@ -193,7 +184,7 @@ def multi_branch(j: int) -> IntPolynomial:
     phi = branch_phi()
     out = IntPolynomial([1])
     for k in range(j):
-        out = out * (phi if k == 0 else _shift(phi, k))
+        out = out * (phi if k == 0 else phi.shift(k))
     return out + _c(13**5000)
 
 

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 
 from .errors import (
     DegreeTooSmall,
-    ForbiddenResidualY,
     InvariantViolation,
     NonMonic,
     NotPrime,
@@ -139,7 +138,7 @@ def _run_branch(
                 raise InvariantViolation("residual factorization lost degree")
             for psi, om in fct:
                 if fld.is_zero(psi[0]):
-                    raise ForbiddenResidualY("residual factor vanishes at zero")
+                    raise InvariantViolation("residual factor vanishes at zero")
                 if om == 1:
                     ct = t.extended(side.h, side.e, psi, 1)
                     records.append(

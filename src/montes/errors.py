@@ -30,10 +30,6 @@ class DegreeTooSmall(InputError):
     pass
 
 
-class ReducibleModulus(InputError):
-    pass
-
-
 class ForbiddenResidualY(InputError):
     pass
 
@@ -47,10 +43,6 @@ class NotInvertible(InputError):
 
 
 class NoPoints(InputError):
-    pass
-
-
-class RefineDegreeMismatch(InputError):
     pass
 
 
@@ -76,14 +68,6 @@ class ParseError(InputError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"syntax error at byte {offset}: {message}")
         self.offset = offset
-
-
-class NotApplicable(MontesError):
-    """A check or oracle does not apply to the given input."""
-
-
-class OracleTooLarge(InputError):
-    """Brute-force oracle refused an input above its size cap."""
 
 
 class InvariantViolation(MontesError):

@@ -26,9 +26,9 @@ polynomials over the field.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import DivisionByZero, InputError, NotInvertible, ReducibleModulus
+from .errors import DivisionByZero, InputError, NotInvertible
 
 
 class Field:
@@ -46,17 +46,15 @@ class Field:
         self.zero = 0
         self.one = 1 % p
 
-    def extend(self, psi: Sequence, check: bool = False) -> "Field":
+    def extend(self, psi: Sequence) -> "Field":
         """Return self[y]/(psi) for monic psi of degree >= 1 over self.
 
-        Irreducibility is the caller's responsibility unless check is set;
-        the main pipeline only extends by factors it produced itself.
+        Irreducibility is the caller's responsibility; the main pipeline only
+        extends by factors it produced itself.
         """
         psi = ptrim(self, list(psi))
         if len(psi) < 2 or psi[-1] != self.one:
             raise NotInvertible("extension modulus must be monic of degree >= 1")
-        if check and not is_irreducible(self, psi):
-            raise ReducibleModulus("extension modulus factors")
         ext = object.__new__(Field)
         ext.p = self.p
         ext.level = self.level + 1
@@ -178,26 +176,6 @@ class Field:
             return a
         sub = self.subfield
         return tuple(sub.key(c) for c in a)
-
-    def elements(self) -> Iterator:
-        if self.level == 0:
-            yield from range(self.p)
-            return
-        # mixed-radix enumeration; fine for the small fields tests use
-        sub = self.subfield
-        pools = [list(sub.elements()) for _ in range(self.deg)]
-        idx = [0] * self.deg
-        while True:
-            yield tuple(ptrim(sub, [pools[i][idx[i]] for i in range(self.deg)]))
-            j = 0
-            while j < self.deg:
-                idx[j] += 1
-                if idx[j] < len(pools[j]):
-                    break
-                idx[j] = 0
-                j += 1
-            if j == self.deg:
-                return
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, level={self.level}, q=p^{_log(self.q, self.p)})"
@@ -486,40 +464,3 @@ def factor(
                 out.append((irr, m))
     out.sort(key=lambda fm: pkey(K, fm[0]))
     return out
-
-
-def _prime_divisors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def is_irreducible(K: Field, f: Sequence) -> bool:
-    f = ptrim(K, list(f))
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    f = pmonic(K, f)
-    x = [K.zero, K.one]
-    h = pmod(K, x, f)
-    for _ in range(n):
-        h = ppowmod(K, h, K.q, f)
-    if psub(K, h, x):
-        return False
-    for r in _prime_divisors(n):
-        h = pmod(K, x, f)
-        for _ in range(n // r):
-            h = ppowmod(K, h, K.q, f)
-        if len(pgcd(K, psub(K, h, x), f)) > 1:
-            return False
-    return True

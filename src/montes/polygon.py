@@ -99,22 +99,15 @@ def polygon_index(sides):
     return total
 
 
-def cut_index(sides, hcut, weight=1):
-    """weight * (index of the slope < -hcut cut, re-based as a standalone
-    polygon, minus the triangle correction hcut*l*(l-1)/2)."""
-    cut = cut_sides(sides, hcut)
-    ell = sum(s.width for s in cut)
-    return weight * (polygon_index(cut) - hcut * ell * (ell - 1) // 2)
-
-
 def region_index(sides, hcut):
     """Exact count of lattice points (x, y) with x >= 1 lying below or on the
     cut polygon and strictly above the line of slope -hcut through its last
     point.
 
-    Matches cut_index/weight when the polygon starts at abscissa 0.  When it
-    starts at abscissa 1 (the expansion modulus divides the polynomial) the
-    column x = 1 contributes its full height.
+    When the polygon starts at abscissa 0 this is the index of the cut
+    polygon minus the triangle hcut*l*(l-1)/2, l the width of the cut.  When
+    it starts at abscissa 1 (the expansion modulus divides the polynomial)
+    the column x = 1 contributes its full height.
     """
     cut = cut_sides(sides, hcut)
     if not cut:
@@ -127,8 +120,3 @@ def region_index(sides, hcut):
     col = (y0 - yt) if x0 == 1 else 0
     j = xt - max(1, x0)
     return base + col - hcut * j * (j + 1) // 2
-
-
-def affine_h(points, h):
-    """The shear (x, y) -> (x, y - h*x); slopes drop by h."""
-    return [(x, y - h * x) for (x, y) in points]

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    ForbiddenResidualY,
-    InvariantViolation,
-    RefineDegreeMismatch,
-    UnliftableTarget,
-)
+from .errors import ForbiddenResidualY, InvariantViolation, UnliftableTarget
 from .ffield import Field, ptrim
 from .polygon import Side
 from .zpoly import IntPolynomial, phi_expand, vpoly
@@ -124,13 +119,6 @@ class Type:
             return self.F1, self.F1.one, 0
         lvl = self.levels[R - 2]
         return lvl.fld, lvl.up_w, lvl.up_V
-
-    def modulus_degree(self, R: int) -> int:
-        """deg phi_R, whether committed or pending."""
-        if R == 1:
-            return self.F1.deg
-        lvl = self.levels[R - 2]
-        return lvl.phi.degree * lvl.e * lvl.f
 
     # --- valuations ---
 
@@ -302,7 +290,7 @@ class Type:
         """Same-order branch with a better modulus of the same degree."""
         new_phi = self.representative(h, 1, psi)
         if new_phi.degree != self.phi.degree:
-            raise RefineDegreeMismatch("refinement changed the modulus degree")
+            raise InvariantViolation("refinement changed the modulus degree")
         return Type(self.p, self.F1, self.psi0, self.levels, new_phi, h, mult)
 
     def extended(self, h: int, e: int, psi: Sequence, mult: int) -> "Type":

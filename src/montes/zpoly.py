@@ -95,12 +95,6 @@ class IntPolynomial:
             n >>= 1
         return result
 
-    def __call__(self, v):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
     def divmod_monic(self, phi):
         """Quotient and remainder by a monic divisor, exact over Z."""
         if not phi.is_monic:
@@ -138,26 +132,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            elif i == 1:
-                term = "x" if abs(c) == 1 else f"{abs(c)}*x"
-            else:
-                term = f"x^{i}" if abs(c) == 1 else f"{abs(c)}*x^{i}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+" if c > 0 else "-") + term)
-        return "".join(parts)
 
 
 X = IntPolynomial((0, 1))

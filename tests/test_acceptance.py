@@ -17,17 +17,18 @@ import time
 from montes.cli import main, poly_to_expr
 from montes.corpus import multi_branch, tower_phi
 from montes.driver import disc_valuation, factor_prime
-from montes.polygon import cut_index, cut_sides, principal_sides, region_index
-from montes.verify import (
+from montes.polygon import cut_sides, principal_sides, region_index
+from montes.zpoly import IntPolynomial, pval
+
+from .oracles import (
     NotApplicable,
     dedekind_oracle,
     lattice_index_oracle,
     refinement_equivalence_check,
+    refinement_instance,
+    sylvester_discriminant,
     tame_disc_check,
 )
-from montes.zpoly import IntPolynomial, pval
-
-from .oracles import refinement_instance, sylvester_discriminant
 from .test_driver import random_squarefree
 from .test_idealgen import corrections, identity_grid, valuation_grid
 from .test_polygon import _random_cloud, vertices_of
@@ -220,8 +221,6 @@ def test_a6_property_suite(capsys):
             cut = cut_sides(sides, h)
             want = lattice_index_oracle(vertices_of(cut), h)
             ok = ok and region_index(sides, h) == want
-            if cloud[0][0] == 0:
-                ok = ok and cut_index(sides, h, 2) == 2 * want
 
     # (d) unit-side refinement instances: both absorption orders agree
     for _ in range(100):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from montes import driver
 from montes.cli import (
     main,
     parse_coeffs,
@@ -16,6 +17,7 @@ from montes.cli import (
 )
 from montes.corpus import multi_branch, quartic_refine, random_tower, tower_phi
 from montes.errors import ParseError
+from montes.types import Type
 from montes.zpoly import IntPolynomial, X
 
 from .test_zpoly import F12
@@ -359,15 +361,38 @@ def test_bench_malformed_spec_exit_2(capsys):
         assert err.startswith("error:") and out == "", spec
 
 
-def test_verify_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
-    assert code == 0
-    assert "FAIL" not in out
+def test_verify_is_not_a_subcommand(capsys):
+    # the oracles live in tests/oracles.py; the CLI runs no self-checks
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid choice: 'verify'" in err
 
 
-def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "nope")
-    assert code == 2
+def test_refinement_degree_fault_exit_3(capsys, monkeypatch):
+    # a representative of the wrong degree can only be a program fault
+    real = Type.representative
+    monkeypatch.setattr(Type, "representative", lambda t, h, e, psi: real(t, h, e, psi) * X)
+    code, out, err = run_cli(capsys, "factor", "--prime", "2", "--poly", "x^2+4")
+    assert code == 3 and out == ""
+    assert err == "internal error: refinement changed the modulus degree\n"
+
+
+def test_residual_factor_y_fault_exit_3(capsys, monkeypatch):
+    # residual_on_side keeps y out of every residual polynomial, so a factor
+    # y from the residue-field factorization can only be a program fault
+    real = driver.ffactor
+
+    def factor_as_y(K, f, rng=None):
+        if K.level == 0:  # the factorization mod p at initialization
+            return real(K, f, rng)
+        return [([K.zero, K.one], len(f) - 1)]
+
+    monkeypatch.setattr(driver, "ffactor", factor_as_y)
+    code, out, err = run_cli(capsys, "factor", "--prime", "2", "--poly", "x^2+4")
+    assert code == 3 and out == ""
+    assert err == "internal error: residual factor vanishes at zero\n"
 
 
 def test_factor_unreadable_file_exit_2(capsys):

@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from montes.corpus import tower_phi
 from montes.driver import disc_valuation, factor_prime
 from montes.errors import DegreeTooSmall, NonMonic, NotPrime, NotSquarefree
-from montes.verify import (
+from montes.zpoly import IntPolynomial, X, is_squarefree, pval
+
+from .oracles import (
     NotApplicable,
     dedekind_oracle,
     refinement_equivalence_check,
+    refinement_instance,
+    sylvester_discriminant,
     tame_disc_check,
 )
-from montes.zpoly import IntPolynomial, X, is_squarefree, pval
-
-from .oracles import refinement_instance, sylvester_discriminant
 from .test_zpoly import F12
 
 

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, and no rational arithmetic in the
-package.  Both are read off the syntax tree, so no linter is needed."""
+"""Source hygiene: no unused imports, no rational arithmetic in the
+package, and no package code that only the tests call.  All three are read
+off the syntax tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "montes").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# the callers that count: the package itself and the benchmark
+CALLERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(path):
@@ -47,4 +50,34 @@ def test_no_fractions_in_the_package():
                 continue
             if any(n.split(".")[0] == "fractions" for n in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_package_code_only_the_tests_call():
+    # A name is read as a variable, an attribute or an import.  Attributes
+    # are matched by name alone, so a method counts as called when any
+    # attribute of that name is read.  Dunder methods are called by the
+    # language itself.
+    reads = []
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                reads.append((path, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((path, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                reads.append((path, node.lineno, node.name))
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if not any(
+                name == node.name
+                and (where != path or not node.lineno <= line <= node.end_lineno)
+                for where, line, name in reads
+            ):
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
     assert found == []

@@ -5,15 +5,14 @@ import pytest
 from montes.errors import NoPoints
 from montes.polygon import (
     Side,
-    affine_h,
-    cut_index,
     cut_sides,
     lower_hull,
     polygon_index,
     principal_sides,
     region_index,
 )
-from montes.verify import lattice_index_oracle
+
+from .oracles import lattice_index_oracle
 
 
 def vertices_of(sides):
@@ -49,11 +48,10 @@ def test_side_invariants():
     assert s.width == 4 and s.height == 6 and s.steps == 2
 
 
-def test_cut_and_cut_index_pinned():
+def test_cut_and_region_index_pinned():
     sides = principal_sides([(0, 4), (1, 1)])
     assert cut_sides(sides, 1) == sides
     assert cut_sides(sides, 3) == []
-    assert cut_index(sides, 1, 1) == 0
     assert region_index(sides, 1) == 0
     assert lattice_index_oracle(vertices_of(sides), 1) == 0
 
@@ -98,22 +96,6 @@ def test_region_matches_oracle_randomized():
             got = region_index(sides, h)
             want = lattice_index_oracle(vertices_of(cut), h)
             assert got == want, (cloud, h, got, want)
-            if cloud[0][0] == 0:
-                assert cut_index(sides, h, 3) == 3 * got
-
-
-def test_affine_h_commutes_with_hull():
-    rng = random.Random(99)
-    for _ in range(100):
-        cloud = _random_cloud(rng, with_zero=True)
-        for h in (1, 2):
-            assert lower_hull(affine_h(cloud, h)) == affine_h(lower_hull(cloud), h)
-
-
-def test_affine_h_shifts_slopes():
-    cloud = [(0, 5), (1, 2), (2, 0)]
-    sides = principal_sides(affine_h(cloud, 2))
-    assert [(s.h, s.e) for s in sides] == [(5, 1), (4, 1)]
 
 
 def test_empty_cloud_raises():

@@ -81,10 +81,10 @@ def test_extended_level_data():
     assert lvl.up_V == 2
     assert lvl.fld.q == 64
     assert lvl.up_w == lvl.fld.one
-    assert t2.modulus_degree(2) == 6
     assert (t2.e_prod, t2.f_prod) == (1, 6)
 
     t2.ensure_rep()
+    assert t2.phi.degree == 6
     phi1 = IntPolynomial([1, 1, 0, 1])
     assert t2.phi == phi1 * phi1 + IntPolynomial([2]) * phi1 + IntPolynomial([4])
     # value of the pending modulus matches the committed formula
@@ -173,7 +173,7 @@ def test_pending_value_matches_formula():
     t3 = t2.extended(5, 1, [F2fld.one, F2fld.one], 1)
     t3.ensure_rep()
     assert t3.v(t3.phi, 3) == t3.order_data(3)[2] == 7
-    assert t3.modulus_degree(3) == 2
+    assert t3.phi.degree == 2
     assert (t3.e_prod, t3.f_prod) == (2, 1)
 
 
