@@ -292,6 +292,12 @@ def _check_prime_size(p: int) -> None:
         raise InputError(f"the prime has more than {_MAX_PRIME_BITS} bits")
 
 
+def _check_member_size(degree: int, bits: float = 0.0) -> None:
+    """Refuse a corpus member the parser would refuse, before building it."""
+    if degree > _MAX_DEGREE or bits > _MAX_BITS:
+        raise InputError(f"the member passes degree {_MAX_DEGREE} or {_MAX_BITS} coefficient bits")
+
+
 # --- corpus subcommand ---
 
 
@@ -314,14 +320,18 @@ def cmd_corpus(args) -> int:
         _check_prime_size(args.prime)
     if args.family == "tower":
         if args.chain is not None:
-            f = random_tower(args.prime or 2, args.f0, _parse_chain(args.chain), args.seed)
+            chain = _parse_chain(args.chain)
+            _check_member_size(args.f0 * math.prod(e * fdeg for _, e, fdeg in chain))
+            f = random_tower(args.prime or 2, args.f0, chain, args.seed)
         else:
             f = tower_phi(args.level)
     elif args.family == "quartic-refine":
         if args.prime is None:
             raise InputError("quartic-refine needs --prime")
+        _check_member_size(4, (2 * args.k + 1) * math.log2(max(args.prime, 2)))
         f = quartic_refine(args.prime, args.k)
     elif args.family == "multi-branch":
+        _check_member_size(120 * args.j)
         f = multi_branch(args.j)
     else:
         raise InputError(f"unknown family {args.family!r}")
@@ -348,9 +358,11 @@ def _bench_poly(spec: str) -> Tuple[str, IntPolynomial, int]:
         if len(nums) != 2:
             raise InputError("bench spec quartic-refine:<p>:<k>")
         _check_prime_size(nums[0])
+        _check_member_size(4, (2 * nums[1] + 1) * math.log2(max(nums[0], 2)))
         return spec, quartic_refine(nums[0], nums[1]), nums[0]
     if name == "multi-branch":
         j = nums[0] if nums else 1
+        _check_member_size(120 * j)
         return spec, multi_branch(j), 13
     raise InputError(f"unknown bench spec {spec!r}")
 

@@ -1,50 +1,61 @@
-"""Finite field towers and univariate polynomial factorization over them.
+"""Residue fields F_q and univariate polynomial factorization over them.
 
-A field is either the prime field F_p or a simple extension sub[y]/(psi) of
-another field from this module.  Elements of the prime field are plain ints in
-[0, p); elements of an extension are tuples of subfield elements, ascending in
-the power of y, with trailing zeros trimmed (the empty tuple is zero).  The
-tuple entries are exactly the coordinates with respect to powers of the
-generator, which keeps decomposition and reassembly trivial for callers.
+Every field is one absolute field F_p[z]/(M) of degree D over F_p; the prime
+field has M = z.  extend(psi) builds F[y]/(psi): with modulus psi itself when
+D = 1, and otherwise with the minimal polynomial of theta = y + t*z, found by
+linear algebra over F_p for the first t = 0, 1, 2, ... (the multiples c*z
+come first) for which theta has full degree.  The field keeps the matrices
+between the basis of powers of theta and the tower basis z^i y^j.
 
-Polynomials over a field are Python lists of elements, ascending, trimmed.
-All routines are deterministic given the caller's rng; factor() sorts its
-output by (degree, coefficient key) so the rng never leaks into results.
+An element is an int: the residue itself when D = 1, so that the prime field
+and the degree-1 levels share one path, and otherwise its D coordinates in
+slots of bits(p) + 1 bits, lowest power lowest, so that add and sub are a few
+big-int operations.  mul is one kernel product and one reduction mod M, inv
+one Euclid over F_p; nothing recurses into the level below.
 
-Over the prime field, pmul and pdivmod run on a private kernel that works
-on the int lists directly instead of calling Field methods per coefficient;
-pmod, ppowmod, pgcd and Field.inv on level-1 fields reach it through them.
-Its reduction is lazy: products are accumulated as unreduced ints, and `% p`
-is taken once per coefficient, when division reads the leading coefficient
-to pick a quotient digit and when a result is returned.  pmul, pdivmod,
-pmod and ppowmod therefore also accept unreduced or negative ints, and every
-result is reduced into [0, p) and trimmed, the same values the
-per-coefficient routines give.  The other routines, pgcd included, take
-polynomials over the field.
+embed(cs) maps coordinates c_j over the subfield to sum c_j y^j, and
+coords(a) is its inverse.  key(a) is the nested tuple of coordinates, level
+by level, and rand draws each level's coordinates from the level below, so
+the order of factor()'s output and the rng stream that random towers and the
+equal-degree split consume are those of the tower basis, whatever theta is.
+Polynomials are lists of elements, ascending, trimmed.
+
+pmul and pdivmod run on a private kernel over int lists that reduces lazily:
+`% p` is taken once per coefficient, when division reads a leading
+coefficient and when a result is returned, so when D = 1 they, pmod and
+ppowmod also accept unreduced or negative ints.  When D > 1 a polynomial is
+spread into one int list with 2D - 1 slots per coefficient: one kernel
+product gives every coefficient of a product, each reduced mod M once.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DivisionByZero, InputError, NotInvertible
+from .errors import DivisionByZero, InputError, InvariantViolation, NotInvertible
 
 
 class Field:
-    """F_p or a simple extension of another Field, with element arithmetic."""
+    """F_p or a simple extension of another Field, over one absolute basis."""
 
-    __slots__ = ("p", "level", "subfield", "psi", "deg", "q", "zero", "one")
+    __slots__ = ("p", "level", "subfield", "deg", "D", "q", "M", "w", "W", "zero",
+                 "one", "y", "_to", "_from", "_ps", "_lift", "_high")
 
-    def __init__(self, p: int):
-        self.p = p
-        self.level = 0
-        self.subfield = None
-        self.psi = None
-        self.deg = 1
-        self.q = p
-        self.zero = 0
-        self.one = 1 % p
+    def __init__(self, p: int, subfield: Optional["Field"] = None, M=(0, 1), deg: int = 1):
+        self.p, self.subfield, self.deg, self.M = p, subfield, deg, list(M)
+        self.level = 0 if subfield is None else subfield.level + 1
+        self.D, self.q = len(self.M) - 1, p ** (len(self.M) - 1)
+        self.zero, self.one = 0, 1 % p
+        self.w = w = p.bit_length() + 1
+        self.W = (self.D * p * p).bit_length()  # a sum of D products, unreduced
+        # p, 2^(w-1) - p and 2^(w-1) in every slot, for add and sub
+        self._ps, self._lift, self._high = (
+            _pack([c] * self.D, w) for c in (p, (1 << (w - 1)) - p, 1 << (w - 1))
+        )
+        self._to = self._from = None  # the identity change of basis
+        self.y = 0
 
     def extend(self, psi: Sequence) -> "Field":
         """Return self[y]/(psi) for monic psi of degree >= 1 over self.
@@ -55,99 +66,100 @@ class Field:
         psi = ptrim(self, list(psi))
         if len(psi) < 2 or psi[-1] != self.one:
             raise NotInvertible("extension modulus must be monic of degree >= 1")
-        ext = object.__new__(Field)
-        ext.p = self.p
-        ext.level = self.level + 1
-        ext.subfield = self
-        ext.psi = tuple(psi)
-        ext.deg = len(psi) - 1
-        ext.q = self.q ** ext.deg
-        ext.zero = ()
-        ext.one = (self.one,)
+        d = len(psi) - 1
+        ext = Field(self.p, self, psi, d) if self.D == 1 else self._primitive(psi, d)
+        ext.y = ext.embed([0, 1] if d > 1 else [self.neg(psi[0])])
         return ext
 
+    def _primitive(self, psi: List, d: int) -> "Field":
+        # theta = y + t*z, t running through the elements with the base-p
+        # digits of c = 0, 1, 2, ... as coordinates (t = c for c < p)
+        p, w, D = self.p, self.w, self.D * d
+        for c in range(self.q):
+            t, n, s = 0, c, 0
+            while n:
+                t, n, s = t | (n % p) << s, n // p, s + w
+            theta = pmod(self, [self.mul(t, 1 << w), self.one], psi)
+            cols, power = [], [self.one]
+            for _ in range(D + 1):
+                cols.append(_unpack(_pack(power, w * self.D), w, D))
+                power = pmod(self, pmul(self, power, theta), psi)
+            inv = _inverse([list(row) for row in zip(*cols[:D])], p)
+            if inv is not None:
+                break
+        else:
+            raise InvariantViolation("no primitive element y + t*z")
+        top = [sum(a * b for a, b in zip(row, cols[D])) % p for row in inv]
+        ext = Field(p, self, [-c % p for c in top] + [1], d)
+        ext._to = [_pack(col, ext.W) for col in cols[:D]]
+        ext._from = [_pack(col, ext.W) for col in zip(*inv)]
+        return ext
+
+    def _apply(self, cols: List[int], x: int) -> int:
+        """The matrix with columns cols, packed wide, times the vector x."""
+        acc = 0
+        for c, col in zip(_unpack(x, self.w), cols):
+            if c:
+                acc += c * col
+        return _pack([c % self.p for c in _unpack(acc, self.W, self.D)], self.w)
+
+    def embed(self, cs: Sequence):
+        """The element sum c_j y^j for coordinates c_j over the subfield."""
+        x = _pack(cs, self.w * self.subfield.D)
+        return x if self._from is None else self._apply(self._from, x)
+
+    def coords(self, a) -> List:
+        """The d coordinates of a over the subfield: embed's inverse."""
+        x = a if self._to is None else self._apply(self._to, a)
+        return _unpack(x, self.w * self.subfield.D, self.deg)
+
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return a == 0
 
     def from_int(self, n: int):
-        if self.level == 0:
-            return n % self.p
-        return self.embed(self.subfield.from_int(n))
-
-    def embed(self, c):
-        """Inject a subfield element as a constant."""
-        return () if self.subfield.is_zero(c) else (c,)
+        return n % self.p
 
     def gen(self):
         """The class of y, a root of psi."""
-        sub = self.subfield
-        if self.deg == 1:
-            return self.embed(sub.neg(self.psi[0]))
-        return (sub.zero, sub.one)
+        return self.y
 
     def add(self, a, b):
-        if self.level == 0:
-            return (a + b) % self.p
-        sub = self.subfield
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = sub.add(out[i], c)
-        return tuple(ptrim(sub, out))
+        return self._fold(a + b)
 
     def neg(self, a):
-        if self.level == 0:
-            return -a % self.p
-        sub = self.subfield
-        return tuple(sub.neg(c) for c in a)
+        return self.sub(0, a)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self._fold(a + self._ps - b)
+
+    def _fold(self, s: int) -> int:
+        # every slot of s is below 2p: subtract p from the slots at p or above
+        return s - (((s + self._lift) & self._high) >> (self.w - 1)) * self.p
+
+    def _reduce(self, x: Sequence[int]) -> int:
+        """The element with the coordinates x, unreduced, of any length."""
+        return _pack(_zp_divmod(x, self.M, self.p)[1], self.w)
 
     def mul(self, a, b):
-        if self.level == 0:
+        if self.D == 1:
             return a * b % self.p
-        sub = self.subfield
-        if not a or not b:
-            return ()
-        prod = [sub.zero] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if sub.is_zero(c):
-                continue
-            for j, d in enumerate(b):
-                prod[i + j] = sub.add(prod[i + j], sub.mul(c, d))
-        return tuple(self._reduce(prod))
-
-    def _reduce(self, coeffs: List) -> List:
-        # modulus is monic, so reduction is subtraction of shifted multiples
-        sub = self.subfield
-        psi = self.psi
-        for i in range(len(coeffs) - 1, self.deg - 1, -1):
-            top = coeffs[i]
-            if sub.is_zero(top):
-                continue
-            off = i - self.deg
-            for j in range(self.deg):
-                coeffs[off + j] = sub.sub(coeffs[off + j], sub.mul(top, psi[j]))
-            coeffs[i] = sub.zero
-        return ptrim(sub, coeffs[: self.deg])
+        return self._reduce(_zp_mul(_unpack(a, self.w), _unpack(b, self.w)))
 
     def inv(self, a):
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
-        if self.level == 0:
-            return pow(a, -1, self.p)
-        sub = self.subfield
-        r0, s0 = list(a), [sub.one]
-        r1, s1 = list(self.psi), []
+        p = self.p
+        if self.D == 1:
+            return pow(a, -1, p)
+        r0, s0, r1, s1 = _unpack(a, self.w), [1], self.M, []
         while r1:
-            quo, rem = pdivmod(sub, r0, r1)
-            r0, s0, r1, s1 = r1, s1, rem, psub(sub, s0, pmul(sub, quo, s1))
+            quo, rem = _zp_divmod(r0, r1, p)
+            s = zip_longest(s0, _zp_mul(quo, s1), fillvalue=0)
+            r0, s0, r1, s1 = r1, s1, rem, _zp_reduce([x - y for x, y in s], p)
         if len(r0) != 1:
             raise NotInvertible("element shares a factor with the modulus")
-        scale = sub.inv(r0[0])
-        return tuple(self._reduce([sub.mul(scale, c) for c in s0]))
+        scale = pow(r0[0], -1, p)
+        return self._reduce([c * scale for c in s0])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -155,8 +167,7 @@ class Field:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out = self.one
-        base = a
+        out, base = self.one, a
         while n:
             if n & 1:
                 out = self.mul(out, base)
@@ -167,26 +178,47 @@ class Field:
     def rand(self, rng: random.Random):
         if self.level == 0:
             return rng.randrange(self.p)
-        sub = self.subfield
-        return tuple(ptrim(sub, [sub.rand(rng) for _ in range(self.deg)]))
+        return self.embed([self.subfield.rand(rng) for _ in range(self.deg)])
 
     def key(self, a):
         """Total order key; nested tuples of ints, comparable within a field."""
         if self.level == 0:
             return a
-        sub = self.subfield
-        return tuple(sub.key(c) for c in a)
+        return tuple(self.subfield.key(c) for c in ptrim(self.subfield, self.coords(a)))
 
     def __repr__(self) -> str:
-        return f"Field(p={self.p}, level={self.level}, q=p^{_log(self.q, self.p)})"
+        return f"Field(p={self.p}, level={self.level}, q=p^{self.D})"
 
 
-def _log(q: int, p: int) -> int:
-    n = 0
-    while q > 1:
-        q //= p
-        n += 1
-    return n
+def _pack(cs: Sequence[int], w: int) -> int:
+    out = 0
+    for c in reversed(cs):
+        out = (out << w) | c
+    return out
+
+
+def _unpack(a: int, w: int, n: Optional[int] = None) -> List[int]:
+    """The n slots of w bits of a, lowest first; without n, up to the top one."""
+    m = (1 << w) - 1
+    return [(a >> s) & m for s in range(0, a.bit_length() if n is None else w * n, w)]
+
+
+def _inverse(rows: List[List[int]], p: int) -> Optional[List[List[int]]]:
+    """The inverse of a square matrix over F_p, or None when it is singular."""
+    n = len(rows)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        top = aug[col] = [x * inv % p for x in aug[col]]
+        for r in range(n):
+            c = aug[r][col]
+            if r != col and c:
+                aug[r] = [(x - c * y) % p for x, y in zip(aug[r], top)]
+    return [row[n:] for row in aug]
 
 
 # --- the prime-field kernel: int lists, ascending, reduced lazily ---
@@ -238,6 +270,17 @@ def _zp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[List[int], L
     return quo, _zp_reduce(rem[:db], p)
 
 
+def _spread(K: Field, a: Sequence) -> List[int]:
+    """The coordinates of a polynomial over K, 2D - 1 slots per coefficient."""
+    return _unpack(_pack(a, K.w * (2 * K.D - 1)), K.w)
+
+
+def _gather(K: Field, flat: List[int]) -> List:
+    """The polynomial over K whose spread, unreduced, is flat."""
+    S = 2 * K.D - 1
+    return ptrim(K, [K._reduce(flat[i : i + S]) for i in range(0, len(flat), S)])
+
+
 # --- polynomials over a Field: lists of elements, ascending, trimmed ---
 
 
@@ -256,51 +299,37 @@ def padd(K: Field, a: Sequence, b: Sequence) -> List:
     return ptrim(K, out)
 
 
-def pneg(K: Field, a: Sequence) -> List:
-    return [K.neg(c) for c in a]
-
-
 def psub(K: Field, a: Sequence, b: Sequence) -> List:
-    return padd(K, a, pneg(K, b))
-
-
-def pscale(K: Field, c, a: Sequence) -> List:
-    return ptrim(K, [K.mul(c, x) for x in a])
+    return padd(K, a, [K.neg(c) for c in b])
 
 
 def pmul(K: Field, a: Sequence, b: Sequence) -> List:
-    if K.level == 0:
+    if K.D == 1:
         return _zp_reduce(_zp_mul(a, b), K.p)
-    if not a or not b:
-        return []
-    out = [K.zero] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if K.is_zero(c):
-            continue
-        for j, d in enumerate(b):
-            out[i + j] = K.add(out[i + j], K.mul(c, d))
-    return ptrim(K, out)
+    return _gather(K, _zp_mul(_spread(K, a), _spread(K, b)))
 
 
 def pdivmod(K: Field, a: Sequence, b: Sequence) -> Tuple[List, List]:
-    if K.level == 0:
+    if K.D == 1:
         return _zp_divmod(a, _zp_divisor(b, K.p), K.p)
+    b = ptrim(K, list(b))
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], ptrim(K, rem)
+    db, S = len(b) - 1, 2 * K.D - 1
+    if len(a) <= db:
+        return [], ptrim(K, list(a))
     linv = K.inv(b[-1])
-    quo = [K.zero] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = K.mul(rem[i], linv)
-        if K.is_zero(c):
-            continue
-        quo[i - db] = c
-        for j in range(db + 1):
-            rem[i - db + j] = K.sub(rem[i - db + j], K.mul(c, b[j]))
-    return ptrim(K, quo), ptrim(K, rem)
+    rem, low = _spread(K, a), _spread(K, b[:db])
+    rem += [0] * (len(a) * S - len(rem))
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = K.mul(K._reduce(rem[i * S : i * S + S]), linv)
+        if c:
+            quo[i - db] = c
+            off = (i - db) * S
+            for j, x in enumerate(_zp_mul(_unpack(c, K.w), low)):
+                rem[off + j] -= x
+    return ptrim(K, quo), _gather(K, rem[: db * S])
 
 
 def pmod(K: Field, a: Sequence, b: Sequence) -> List:
@@ -308,11 +337,10 @@ def pmod(K: Field, a: Sequence, b: Sequence) -> List:
 
 
 def pmonic(K: Field, a: Sequence) -> List:
-    if not a:
-        return []
-    if a[-1] == K.one:
+    if not a or a[-1] == K.one:
         return list(a)
-    return pscale(K, K.inv(a[-1]), a)
+    c = K.inv(a[-1])
+    return ptrim(K, [K.mul(c, x) for x in a])
 
 
 def pgcd(K: Field, a: Sequence, b: Sequence) -> List:
@@ -325,8 +353,7 @@ def pgcd(K: Field, a: Sequence, b: Sequence) -> List:
 def ppowmod(K: Field, a: Sequence, n: int, m: Sequence) -> List:
     if n < 0:
         raise InputError(f"ppowmod needs an exponent >= 0, got {n}")
-    out = [K.one]
-    base = pmod(K, a, m)
+    out, base = [K.one], pmod(K, a, m)
     while n:
         if n & 1:
             out = pmod(K, pmul(K, out, base), m)
@@ -336,22 +363,16 @@ def ppowmod(K: Field, a: Sequence, n: int, m: Sequence) -> List:
     return out
 
 
-def pderiv(K: Field, a: Sequence) -> List:
-    return ptrim(K, [K.mul(K.from_int(i), a[i]) for i in range(1, len(a))])
-
-
 def pkey(K: Field, a: Sequence) -> Tuple:
     return (len(a), tuple(K.key(c) for c in a))
 
 
 def pth_root(K: Field, f: Sequence) -> List:
     """Inverse Frobenius on a polynomial of the form g(y^p)."""
-    p = K.p
-    root_exp = K.q // p
     out = []
     for i, c in enumerate(f):
-        if i % p == 0:
-            out.append(K.pow(c, root_exp))
+        if i % K.p == 0:
+            out.append(K.pow(c, K.q // K.p))
         elif not K.is_zero(c):
             raise NotInvertible("not a polynomial in y^p")
     return ptrim(K, out)
@@ -359,26 +380,21 @@ def pth_root(K: Field, f: Sequence) -> List:
 
 def squarefree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
     """Split monic f into coprime squarefree parts: f = prod g^m, m distinct."""
-    parts = []
-    e = 1
-    f = list(f)
+    parts, e, f = [], 1, list(f)
     while len(f) > 1:
-        df = pderiv(K, f)
+        df = ptrim(K, [K.mul(K.from_int(i), f[i]) for i in range(1, len(f))])
         if not df:
             f = pth_root(K, f)
             e *= K.p
             continue
         c = pgcd(K, f, df)
-        w = pdivmod(K, f, c)[0]
-        i = 1
+        w, i = pdivmod(K, f, c)[0], 1
         while len(w) > 1:
             y = pgcd(K, w, c)
             z = pdivmod(K, w, y)[0]
             if len(z) > 1:
                 parts.append((z, i * e))
-            w = y
-            c = pdivmod(K, c, y)[0]
-            i += 1
+            w, c, i = y, pdivmod(K, c, y)[0], i + 1
         f = c
     parts.sort(key=lambda gm: gm[1])
     return parts
@@ -386,11 +402,8 @@ def squarefree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
 
 def distinct_degree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
     """Split monic squarefree f into products of irreducibles per degree."""
-    out = []
-    x = [K.zero, K.one]
-    f = list(f)
+    out, x, f, d = [], [K.zero, K.one], list(f), 0
     h = pmod(K, x, f)
-    d = 0
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
         h = ppowmod(K, h, K.q, f)
@@ -405,8 +418,7 @@ def distinct_degree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
 
 
 def _random_split(K: Field, g: Sequence, d: int, rng: random.Random) -> List:
-    n = len(g) - 1
-    t = ptrim(K, [K.rand(rng) for _ in range(n)])
+    t = ptrim(K, [K.rand(rng) for _ in range(len(g) - 1)])
     if not t:
         return []
     c = pgcd(K, t, g)
@@ -417,24 +429,17 @@ def _random_split(K: Field, g: Sequence, d: int, rng: random.Random) -> List:
         c = pgcd(K, psub(K, s, [K.one]), g)
     else:
         # char 2: additive trace down to F_2 separates the factors
-        rounds = _log(K.q, 2) * d
-        u = pmod(K, t, g)
-        s = list(u)
-        for _ in range(rounds - 1):
+        s = u = pmod(K, t, g)
+        for _ in range(K.D * d - 1):
             u = pmod(K, pmul(K, u, u), g)
             s = padd(K, s, u)
         c = pgcd(K, s, g)
-    if 1 < len(c) < len(g):
-        return c
-    return []
+    return c if 1 < len(c) < len(g) else []
 
 
-def equal_degree_factors(
-    K: Field, f: Sequence, d: int, rng: random.Random
-) -> List[List]:
+def equal_degree_factors(K: Field, f: Sequence, d: int, rng: random.Random) -> List[List]:
     """Split monic f, a product of distinct irreducibles of degree d."""
-    done = []
-    work = [list(f)]
+    done, work = [], [list(f)]
     while work:
         g = work.pop()
         if len(g) - 1 == d:
@@ -443,14 +448,11 @@ def equal_degree_factors(
         c = []
         while not c:
             c = _random_split(K, g, d, rng)
-        work.append(c)
-        work.append(pdivmod(K, g, c)[0])
+        work += [c, pdivmod(K, g, c)[0]]
     return done
 
 
-def factor(
-    K: Field, f: Sequence, rng: Optional[random.Random] = None
-) -> List[Tuple[List, int]]:
+def factor(K: Field, f: Sequence, rng: Optional[random.Random] = None) -> List[Tuple[List, int]]:
     """Factor nonzero f into monic irreducibles, sorted by (degree, key)."""
     if rng is None:
         rng = random.Random(1299709)

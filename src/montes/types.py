@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ForbiddenResidualY, InvariantViolation, UnliftableTarget
-from .ffield import Field, ptrim
+from .ffield import Field
 from .polygon import Side
 from .zpoly import IntPolynomial, phi_expand, vpoly
 
@@ -108,10 +108,7 @@ class Type:
 
     @property
     def f_prod(self) -> int:
-        out = self.F1.deg
-        for lvl in self.levels:
-            out *= lvl.f
-        return out
+        return self.order_data(self.order + 1)[0].D
 
     def order_data(self, R: int) -> Tuple[Field, object, int]:
         """(F_R, w_R, V_R) for 1 <= R <= order + 1."""
@@ -143,14 +140,11 @@ class Type:
     def cval(self, a: IntPolynomial, R: int):
         """Intrinsic residual value of nonzero a (deg a < m_R) in F_R."""
         if R == 1:
-            u = vpoly(a, self.p)
-            q = self.p ** u
-            F0 = self.F1.subfield
-            return tuple(ptrim(F0, [(c // q) % self.p for c in a.coeffs]))
+            q = self.p ** vpoly(a, self.p)
+            return self.F1.embed([(c // q) % self.p for c in a.coeffs])
         lvl = self.levels[R - 2]
         below, w_below, _ = self.order_data(R - 1)
         fld = lvl.fld
-        z = fld.gen()
         pts: List[Tuple[int, int, IntPolynomial]] = []
         for j, aj in enumerate(phi_expand(a, lvl.phi)):
             if not aj.is_zero:
@@ -160,18 +154,11 @@ class Type:
         s = on_line[0][0]
         if (s - lvl.ell * u) % lvl.e != 0:
             raise InvariantViolation("component abscissa off the residue class")
-        acc = fld.zero
+        cs = [below.zero] * lvl.f
         for j, aj in on_line:
-            c = below.mul(below.pow(w_below, j), self.cval(aj, R - 1))
-            step = (j - s) // lvl.e
-            acc = fld.add(acc, fld.mul(fld.pow(z, step), fld.embed(c)))
+            cs[(j - s) // lvl.e] = below.mul(below.pow(w_below, j), self.cval(aj, R - 1))
         t = (s - lvl.ell * u) // lvl.e
-        return fld.mul(fld.pow(z, t), acc)
-
-    def res_coeff(self, a: IntPolynomial, j: int, R: int):
-        """Residual coefficient w_R^j * cval_R(a) attached to abscissa j."""
-        fld, w, _ = self.order_data(R)
-        return fld.mul(fld.pow(w, j), self.cval(a, R))
+        return fld.mul(fld.pow(fld.gen(), t), fld.embed(cs))
 
     # --- the working polygon ---
 
@@ -194,7 +181,7 @@ class Type:
     ) -> List:
         """Residual polynomial of the side, a list over the working field."""
         W = self.order + 1
-        fld, _, _ = self.order_data(W)
+        fld, w, _ = self.order_data(W)
         out = []
         for k in range(side.steps + 1):
             j = side.x0 + k * side.e
@@ -202,7 +189,7 @@ class Type:
             if u is None or side.e * (u - side.y0) != -side.h * (j - side.x0):
                 out.append(fld.zero)
                 continue
-            out.append(self.res_coeff(coeffs[j], j, W))
+            out.append(fld.mul(fld.pow(w, j), self.cval(coeffs[j], W)))
         if fld.is_zero(out[0]) or fld.is_zero(out[-1]):
             raise InvariantViolation("side residual lost a vertex coefficient")
         return out
@@ -214,10 +201,9 @@ class Type:
         if u < 0:
             raise UnliftableTarget("negative target value")
         if R == 1:
-            F0 = self.F1.subfield
             if self.F1.is_zero(rho):
                 raise UnliftableTarget("zero residual target")
-            return IntPolynomial([c for c in rho]) * self.p ** u
+            return IntPolynomial(self.F1.coords(rho)) * self.p ** u
         lvl = self.levels[R - 2]
         below, w_below, _ = self.order_data(R - 1)
         fld = lvl.fld
@@ -226,7 +212,7 @@ class Type:
         t = (s - lvl.ell * u) // lvl.e
         eta = fld.mul(fld.pow(z, -t), rho)
         Q = IntPolynomial([])
-        for j, etaj in enumerate(eta):
+        for j, etaj in enumerate(fld.coords(eta)):
             if below.is_zero(etaj):
                 continue
             jj = s + j * lvl.e

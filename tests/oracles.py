@@ -12,6 +12,11 @@ different shapes, to go unseen.  Two are weaker:
 - refinement_equivalence_check is not an independent oracle.  It compares
   two routes of the program itself, refining in place against climbing an
   order, through factor_prime(refine=False).
+
+TowerField is the reference for the residue fields of montes.ffield: each
+level a tuple of coordinates over the level below, every operation recursing
+down to F_p, and polynomials over it multiplied, divided and factored
+coefficient by coefficient, without the package's int-list kernel.
 """
 
 from montes.driver import factor_prime
@@ -350,3 +355,243 @@ def is_irreducible(K, f):
         if len(pgcd(K, psub(K, h, x), f)) > 1:
             return False
     return True
+
+
+class TowerField:
+    """F_p, or sub[y]/(psi) for a TowerField sub, with nested-tuple elements.
+
+    Elements of F_p are ints in [0, p); elements of an extension are tuples
+    of subfield elements, ascending in the power of y, with trailing zeros
+    trimmed (the empty tuple is zero).
+    """
+
+    def __init__(self, p, subfield=None, psi=None):
+        self.p = p
+        self.subfield = subfield
+        self.level = 0 if subfield is None else subfield.level + 1
+        self.psi = None if psi is None else tuple(psi)
+        self.deg = 1 if psi is None else len(psi) - 1
+        self.q = p if subfield is None else subfield.q**self.deg
+        self.zero = 0 if subfield is None else ()
+        self.one = 1 % p if subfield is None else (subfield.one,)
+
+    def extend(self, psi):
+        return TowerField(self.p, self, self.ptrim(list(psi)))
+
+    def is_zero(self, a):
+        return a == self.zero
+
+    def from_int(self, n):
+        if self.level == 0:
+            return n % self.p
+        return self.embed(self.subfield.from_int(n))
+
+    def embed(self, c):
+        return () if self.subfield.is_zero(c) else (c,)
+
+    def gen(self):
+        sub = self.subfield
+        if self.deg == 1:
+            return self.embed(sub.neg(self.psi[0]))
+        return (sub.zero, sub.one)
+
+    def add(self, a, b):
+        if self.level == 0:
+            return (a + b) % self.p
+        return tuple(self.subfield.padd(a, b))
+
+    def neg(self, a):
+        if self.level == 0:
+            return -a % self.p
+        return tuple(self.subfield.neg(c) for c in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if self.level == 0:
+            return a * b % self.p
+        return tuple(self._reduce(self.subfield.pmul(a, b)))
+
+    def _reduce(self, coeffs):
+        return self.subfield.pdivmod(coeffs, self.psi)[1]
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of zero")
+        if self.level == 0:
+            return pow(a, -1, self.p)
+        sub = self.subfield
+        r0, s0 = list(a), [sub.one]
+        r1, s1 = list(self.psi), []
+        while r1:
+            quo, rem = sub.pdivmod(r0, r1)
+            r0, s0, r1, s1 = r1, s1, rem, sub.psub(s0, sub.pmul(quo, s1))
+        if len(r0) != 1:
+            raise ArithmeticError("element shares a factor with the modulus")
+        return tuple(self._reduce(sub.pscale(sub.inv(r0[0]), s0)))
+
+    def pow(self, a, n):
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        out, base = self.one, a
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            n >>= 1
+        return out
+
+    def rand(self, rng):
+        if self.level == 0:
+            return rng.randrange(self.p)
+        sub = self.subfield
+        return tuple(sub.ptrim([sub.rand(rng) for _ in range(self.deg)]))
+
+    def key(self, a):
+        if self.level == 0:
+            return a
+        return tuple(self.subfield.key(c) for c in a)
+
+    # --- polynomials over the field: lists of elements, ascending, trimmed ---
+
+    def ptrim(self, a):
+        while a and self.is_zero(a[-1]):
+            a.pop()
+        return a
+
+    def padd(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = self.add(out[i], c)
+        return self.ptrim(out)
+
+    def psub(self, a, b):
+        return self.padd(a, [self.neg(c) for c in b])
+
+    def pscale(self, c, a):
+        return self.ptrim([self.mul(c, x) for x in a])
+
+    def pmul(self, a, b):
+        if not a or not b:
+            return []
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if not self.is_zero(c):
+                for j, d in enumerate(b):
+                    out[i + j] = self.add(out[i + j], self.mul(c, d))
+        return self.ptrim(out)
+
+    def pdivmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, db = list(a), len(b) - 1
+        if len(rem) - 1 < db:
+            return [], self.ptrim(rem)
+        linv = self.inv(b[-1])
+        quo = [self.zero] * (len(rem) - db)
+        for i in range(len(rem) - 1, db - 1, -1):
+            c = self.mul(rem[i], linv)
+            if self.is_zero(c):
+                continue
+            quo[i - db] = c
+            for j in range(db + 1):
+                rem[i - db + j] = self.sub(rem[i - db + j], self.mul(c, b[j]))
+        return self.ptrim(quo), self.ptrim(rem)
+
+    def pmonic(self, a):
+        if not a or a[-1] == self.one:
+            return list(a)
+        return self.pscale(self.inv(a[-1]), a)
+
+    def pgcd(self, a, b):
+        a, b = list(a), list(b)
+        while b:
+            a, b = b, self.pdivmod(a, b)[1]
+        return self.pmonic(a)
+
+    def ppowmod(self, a, n, m):
+        out, base = [self.one], self.pdivmod(a, m)[1]
+        while n:
+            if n & 1:
+                out = self.pdivmod(self.pmul(out, base), m)[1]
+            n >>= 1
+            if n:
+                base = self.pdivmod(self.pmul(base, base), m)[1]
+        return out
+
+    def _squarefree_parts(self, f):
+        parts, e = [], 1
+        while len(f) > 1:
+            df = self.ptrim([self.mul(self.from_int(i), f[i]) for i in range(1, len(f))])
+            if not df:  # f = g(y^p): take the p-th root of every coefficient
+                f = [self.pow(c, self.q // self.p) for c in f[:: self.p]]
+                e *= self.p
+                continue
+            c = self.pgcd(f, df)
+            w, i = self.pdivmod(f, c)[0], 1
+            while len(w) > 1:
+                y = self.pgcd(w, c)
+                z = self.pdivmod(w, y)[0]
+                if len(z) > 1:
+                    parts.append((z, i * e))
+                w, c, i = y, self.pdivmod(c, y)[0], i + 1
+            f = c
+        parts.sort(key=lambda gm: gm[1])
+        return parts
+
+    def _distinct_degree_parts(self, f):
+        out, x, d = [], [self.zero, self.one], 0
+        h = self.pdivmod(x, f)[1]
+        while 2 * (d + 1) <= len(f) - 1:
+            d += 1
+            h = self.ppowmod(h, self.q, f)
+            g = self.pgcd(self.psub(h, x), f)
+            if len(g) > 1:
+                out.append((g, d))
+                f = self.pdivmod(f, g)[0]
+                h = self.pdivmod(h, f)[1]
+        if len(f) > 1:
+            out.append((f, len(f) - 1))
+        return out
+
+    def _random_split(self, g, d, rng):
+        t = self.ptrim([self.rand(rng) for _ in range(len(g) - 1)])
+        if not t:
+            return []
+        c = self.pgcd(t, g)
+        if 1 < len(c) < len(g):
+            return c
+        if self.q % 2 == 1:
+            s = self.ppowmod(t, (self.q**d - 1) // 2, g)
+            c = self.pgcd(self.psub(s, [self.one]), g)
+        else:  # char 2: the additive trace down to F_2
+            u = self.pdivmod(t, g)[1]
+            s = list(u)
+            for _ in range((self.q.bit_length() - 1) * d - 1):
+                u = self.pdivmod(self.pmul(u, u), g)[1]
+                s = self.padd(s, u)
+            c = self.pgcd(s, g)
+        return c if 1 < len(c) < len(g) else []
+
+    def factor(self, f, rng):
+        """Monic irreducible factors with multiplicities, sorted by
+        (degree, key), drawing from rng as montes.ffield.factor does."""
+        out = []
+        for g, m in self._squarefree_parts(self.pmonic(self.ptrim(list(f)))):
+            for h, d in self._distinct_degree_parts(g):
+                done, work = [], [h]
+                while work:
+                    g1 = work.pop()
+                    if len(g1) - 1 == d:
+                        done.append(g1)
+                        continue
+                    c = []
+                    while not c:
+                        c = self._random_split(g1, d, rng)
+                    work += [c, self.pdivmod(g1, c)[0]]
+                out += [(irr, m) for irr in done]
+        out.sort(key=lambda fm: (len(fm[0]), tuple(self.key(c) for c in fm[0])))
+        return out

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -177,6 +178,29 @@ def test_prime_size_cap_exit_2(capsys):
     code, _, err = run_cli(capsys, "factor", "--prime", str(2**1023 + 1), "--poly", "x^2+1")
     assert code == 2 and "is not prime" in err
 
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (2k+1) log2 p bits in the constant term, past the parser's 2^20
+        ("corpus", "--family", "quartic-refine", "--prime", "7", "--k", "100000000"),
+        ("corpus", "--family", "quartic-refine", "--prime", "7", "--k", "400000"),
+        ("bench", "quartic-refine:7:999999999"),
+        # degree 120 j, past the parser's 100,000
+        ("corpus", "--family", "multi-branch", "--j", "1000000"),
+        ("corpus", "--family", "multi-branch", "--j", "834"),
+        ("bench", "multi-branch:1000000"),
+        # degree f0 * prod(e f) of a random chain
+        ("corpus", "--family", "tower", "--f0", "1000", "--chain", "1:101:1"),
+        ("corpus", "--family", "tower", "--f0", "2", "--chain", "1:1000:10,1:1:10"),
+    ],
+)
+def test_corpus_and_bench_sizes_capped_exit_2(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "coefficient bits" in err
+    assert time.perf_counter() - t0 < 1.0
 
 def test_factor_poly_file_not_utf8_exit_2(tmp_path, capsys):
     path = tmp_path / "poly.txt"

@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from montes import ffield
 from montes.errors import DivisionByZero, InputError, NotInvertible
 from montes.zpoly import IntPolynomial
 from montes.ffield import (
@@ -16,11 +20,10 @@ from montes.ffield import (
     ppowmod,
     psub,
     pth_root,
-    ptrim,
     squarefree_parts,
 )
 
-from .oracles import is_irreducible
+from .oracles import TowerField, is_irreducible
 
 F2 = Field(2)
 F13 = Field(13)
@@ -36,8 +39,7 @@ def elements(K):
     subfield."""
     if K.level == 0:
         return list(range(K.p))
-    sub = K.subfield
-    return [tuple(ptrim(sub, list(cs))) for cs in itertools.product(elements(sub), repeat=K.deg)]
+    return [K.embed(cs) for cs in itertools.product(elements(K.subfield), repeat=K.deg)]
 
 
 def test_prime_field_arithmetic():
@@ -85,9 +87,10 @@ def test_degree_one_extension_wraps():
     # modulus y + 1 over F_13: the wrapper field is F_13 again, gen = -1
     W = F13.extend([1, 1])
     assert W.q == 13
-    assert W.gen() == (12,)
-    assert W.mul((3,), (5,)) == (2,)
-    assert W.inv((2,)) == (7,)
+    assert W.gen() == W.from_int(12) == 12
+    assert W.mul(W.from_int(3), W.from_int(5)) == W.from_int(2)
+    assert W.inv(W.from_int(2)) == W.from_int(7)
+    assert W.embed([5]) == W.from_int(5) and W.coords(W.from_int(5)) == [5]
 
 
 def test_second_extension_level():
@@ -105,6 +108,30 @@ def test_second_extension_level():
         assert F64.pow(a, 64) == a
 
 
+def test_extend_falls_back_past_the_multiples_of_z(monkeypatch):
+    # theta = y + c*z can have a degree below [L : F_p] for every c in F_p;
+    # force that, so that extend goes on to theta = y + z*z
+    psi = poly(F8, [1, 1, 1])
+    want = F8.extend(psi)
+    real, calls = ffield._inverse, []
+
+    def singular_twice(rows, p):
+        calls.append(rows)
+        return None if len(calls) <= 2 else real(rows, p)
+
+    monkeypatch.setattr(ffield, "_inverse", singular_twice)
+    got = F8.extend(psi)
+    assert len(calls) == 3 and got.q == want.q == 64
+    assert got.coords(got.gen()) == want.coords(want.gen()) == [F8.zero, F8.one]
+    rng = random.Random(2)
+    for _ in range(20):
+        cs, ds = [F8.rand(rng) for _ in range(2)], [F8.rand(rng) for _ in range(2)]
+        prod = got.mul(got.embed(cs), got.embed(ds))
+        assert got.coords(prod) == want.coords(want.mul(want.embed(cs), want.embed(ds)))
+        if any(cs):
+            assert got.coords(got.inv(got.embed(cs))) == want.coords(want.inv(want.embed(cs)))
+
+
 def test_reducible_modulus_rejected():
     # extend trusts its caller on irreducibility, so the check is the caller's
     assert is_irreducible(F2, [1, 1, 1])
@@ -115,11 +142,14 @@ def test_reducible_modulus_rejected():
 
 
 def test_embed_and_from_int():
-    assert F8.from_int(5) == (1,)
-    assert F8.embed(F2.zero) == F8.zero
+    assert F8.from_int(5) == F8.one
+    assert F8.embed([F2.zero]) == F8.zero
     c = F8.gen()
     F64 = F8.extend(poly(F8, [1, 1, 1]))
-    assert F64.mul(F64.embed(c), F64.embed(F8.inv(c))) == F64.one
+    assert F64.mul(F64.embed([c]), F64.embed([F8.inv(c)])) == F64.one
+    assert F64.embed([F8.zero, F8.one]) == F64.gen()
+    for a in elements(F64):
+        assert F64.embed(F64.coords(a)) == a
 
 
 def test_pdivmod_roundtrip():
@@ -248,6 +278,78 @@ def test_gcd_monic_and_common_root():
     a = pmul(F13, poly(F13, [1, 1]), poly(F13, [2, 1]))
     b = pmul(F13, poly(F13, [1, 1]), poly(F13, [5, 1]))
     assert pgcd(F13, a, b) == poly(F13, [1, 1])
+
+
+# --- the flat fields against the recursive tower they replace ---
+
+
+def _flat(F, a):
+    """The element of the flat field F that the oracle element a stands for."""
+    if F.level == 0:
+        return a
+    return F.embed([_flat(F.subfield, c) for c in a])
+
+
+def _nested(F, x):
+    """The oracle element that the element x of F stands for."""
+    if F.level == 0:
+        return x
+    cs = [_nested(F.subfield, c) for c in F.coords(x)]
+    while cs and cs[-1] in (0, ()):
+        cs.pop()
+    return tuple(cs)
+
+
+def _random_towers(p, degs, rng):
+    """One random tower with these relative degrees, as the oracle and as
+    the package builds it; each modulus is certified by the oracle."""
+    T, F = TowerField(p), Field(p)
+    for d in degs:
+        while True:
+            psi = [T.rand(rng) for _ in range(d)] + [T.one]
+            parts = T.factor(psi, random.Random(0))
+            if len(parts) == 1 and parts[0][1] == 1 and len(parts[0][0]) == d + 1:
+                break
+        T, F = T.extend(psi), F.extend([_flat(F, c) for c in psi])
+    return T, F
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 3, 13)),
+    st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_flat_field_matches_tower_oracle(p, degs, seed):
+    assume(math.prod(degs) <= 12)
+    rng = random.Random(seed)
+    T, F = _random_towers(p, degs, rng)
+    assert (F.level, F.D, F.q) == (len(degs), math.prod(degs), T.q)
+    assert F.gen() == _flat(F, T.gen())
+    for _ in range(6):
+        a, b = T.rand(rng), T.rand(rng)
+        x, y = _flat(F, a), _flat(F, b)
+        assert _nested(F, x) == a and F.key(x) == T.key(a)
+        assert F.mul(x, y) == _flat(F, T.mul(a, b))
+        assert F.add(x, y) == _flat(F, T.add(a, b))
+        assert F.neg(x) == _flat(F, T.neg(a))
+        if a != T.zero:
+            n = rng.randint(-30, 30)
+            assert F.inv(x) == _flat(F, T.inv(a))
+            assert F.pow(x, n) == _flat(F, T.pow(a, n))
+    # the same draws, in the same order, from equal rngs
+    r1, r2 = random.Random(seed), random.Random(seed)
+    drawn = [T.rand(r1) for _ in range(5)]
+    assert [F.rand(r2) for _ in range(5)] == [_flat(F, a) for a in drawn]
+    assert r1.getstate() == r2.getstate()
+    # a repeated factor, and a split that needs the rng
+    g = [T.rand(rng) for _ in range(rng.randint(1, 2))] + [T.one]
+    h = [T.rand(rng) for _ in range(rng.randint(0, 2))] + [T.one]
+    f = T.pmul(T.pmul(g, g), h)
+    want = T.factor(f, r1)
+    got = factor(F, [_flat(F, c) for c in f], r2)
+    assert got == [([_flat(F, c) for c in irr], m) for irr, m in want]
+    assert r1.getstate() == r2.getstate()
 
 
 # --- the prime-field kernel against IntPolynomial arithmetic over Z ---

@@ -1,0 +1,67 @@
+"""Outputs pinned across versions of the program, not only across reruns.
+
+Each case is reduced to a SHA-256 digest of its text: the coefficients of a
+random tower, or the `montes factor --json` payload without `timings_ms`,
+dumped with sorted keys.  The digests were computed by the program before
+its residue fields changed from nested tuples to one absolute basis per
+level; a change that moves any of them changes what the program answers, or
+the rng stream that random towers consume.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from montes.cli import main, poly_to_coeff_lines
+from montes.corpus import multi_branch, quartic_refine, random_tower, tower_phi
+from montes.zpoly import IntPolynomial
+
+A1 = IntPolynomial([
+    59914669248, 10978063488, -641009376, -1583408736, 486721116,
+    24745392, -12522636, -172872, 130095, 476, -588, 0, 1,
+])
+FULL = ("--generators", "--disc")
+
+# name -> (input, prime, flags); chains are (p, f0, levels h:e:f), tower seed 1
+CASES = {
+    "chain-p3": ((3, 2, ((1, 2, 2), (1, 1, 2), (1, 3, 2))), None, ()),
+    "chain-p2": ((2, 2, ((1, 2, 3), (1, 1, 2), (1, 3, 1), (1, 1, 2))), None, ()),
+    "A1": (lambda: A1, 2, FULL),
+    "tower:3": (lambda: tower_phi(3), 2, FULL),
+    "tower:4": (lambda: tower_phi(4), 2, FULL),
+    "quartic-refine:13:10": (lambda: quartic_refine(13, 10), 13, FULL),
+    "multi-branch:1 --disc": (lambda: multi_branch(1), 13, ("--disc",)),
+}
+
+PINNED = {
+    "chain-p3": "c8ee353e8ea4caea851f336f30bd4c686855ca7ea481f889465dd031e8797011",
+    "chain-p2": "240625bbdb4fcef15278c6d91f294791bfed10798dc34bc7359a1066e3834f7e",
+    "A1": "3e133cf0d6bf963ef4ca6b75711ddecc70d66b339c2c5d8613a9eb9a8218160f",
+    "tower:3": "148a17f0503997e970168482c2e9a1084c20ab1d9403f67539a9323679b88dcb",
+    "tower:4": "7106e195e5b944da4ee70ca7fe4ae556acd5f45de81b78d15ce60aff7dc2fc9d",
+    "quartic-refine:13:10": "975f2259420e47c85f33443dd9428927734a16446e714b05f0e7295ac69421d1",
+    "multi-branch:1 --disc": "7b07ea43d4280c83cbc43452194d2cc83b82acbcb15fa9f39590936e06a6de17",
+}
+
+
+def pinned_text(name, tmp_path, capsys):
+    source, prime, flags = CASES[name]
+    if prime is None:
+        p, f0, chain = source
+        return "\n".join(str(c) for c in random_tower(p, f0, chain, 1).coeffs)
+    path = tmp_path / "input.coeffs"
+    path.write_text(poly_to_coeff_lines(source()) + "\n")
+    argv = ["factor", "--prime", str(prime), "--poly-file", str(path),
+            "--format", "coeffs", "--json", "--seed", "0", *flags]
+    capsys.readouterr()
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    del payload["timings_ms"]
+    return json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_pinned_digest(name, tmp_path, capsys):
+    text = pinned_text(name, tmp_path, capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
