@@ -25,7 +25,7 @@ from .errors import (
 )
 from .ffield import Field, factor as ffactor, pmod
 from .polygon import cut_sides, principal_sides, region_index
-from .types import Type
+from .types import Type, value_at_prime
 from .zpoly import IntPolynomial, is_prime, is_squarefree
 
 
@@ -37,8 +37,9 @@ class PrimeRecord:
     initialization, "side" via a multiplicity-one residual factor, "factor"
     when the pending modulus divides f exactly.  tipo holds the completed
     branch for the generator machinery; generator is filled by it on
-    demand, and value_type caches value_at_prime's improved modulus with its
-    contact.
+    demand.  value_type caches value_at_prime's improved branch with what
+    contact read off it: the contact H and the residual root c that would
+    refine it further, or None when the branch's modulus divides f.
     """
 
     e: int
@@ -48,7 +49,7 @@ class PrimeRecord:
     dede_phi: Optional[IntPolynomial] = None
     dede_mult: int = 0
     generator: Optional[Tuple[IntPolynomial, int]] = None
-    value_type: Optional[Tuple[Type, Optional[int]]] = None
+    value_type: Optional[Tuple[Type, Optional[Tuple[int, object]]]] = None
 
 
 @dataclass
@@ -118,9 +119,9 @@ def _run_branch(
         counter += 1
         if counter > 4 * (2 * index + n) + 16:
             raise InvariantViolation("splitting loop exceeded its progress budget")
-        coeffs, cloud = t.newton_data(f)
+        readings, cloud = t.newton_data(f)
         fld = t.order_data(t.order + 1)[0]
-        phi_divides = coeffs[0].is_zero
+        phi_divides = 0 not in cloud
         if phi_divides:
             records.append(PrimeRecord(e=t.e_prod, f=t.f_prod, kind="factor", tipo=t))
         pts = sorted(cloud.items())
@@ -132,7 +133,7 @@ def _run_branch(
             raise InvariantViolation("polygon width disagrees with multiplicity")
         branches: List[Type] = []
         for side in sides:
-            res = t.residual_on_side(side, coeffs, cloud)
+            res = t.residual_on_side(side, readings, cloud)
             fct = ffactor(fld, res, rng)
             if sum((len(g) - 1) * m for g, m in fct) != side.steps:
                 raise InvariantViolation("residual factorization lost degree")
@@ -186,8 +187,6 @@ def disc_valuation(result: RunResult) -> int:
     For monic f, disc f = +-N(f'(theta)), and v_p of a norm is the sum over
     the primes P above p of f_P * v_P, with v_P normalised by v_P(p) = e_P.
     """
-    from .idealgen import value_at_prime
-
     f, p = result.poly, result.p
     df = f.derivative()
     return sum(rec.f * value_at_prime(rec, df, f, p) for rec in result.primes)

@@ -5,7 +5,7 @@ prime: the pending modulus, tweaked so that its polygon of f is one-sided of
 slope -1, divided by the previous modulus raised to e*f.  At every other
 prime beta has value 0, except at the primes that split off a steeper side
 of the same polygon, where the value is negative.  Those values are read
-with value_at_prime, the same route the discriminant and the checks use, and
+with types.value_at_prime, the route --disc and the checks use too, and
 multiplying by the generators of those primes, raised to the opposite
 exponent, clears them; a prime is assembled once every prime it needs is.
 
@@ -32,8 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
-from .polygon import principal_sides
-from .types import Type
+from .types import Type, contact, value_at_prime
 from .zpoly import IntPolynomial, pval, vpoly
 
 
@@ -162,22 +161,6 @@ def p_adic_inverse(
             return found[0], found[1], N
 
 
-def _contact(tipo: Type, f: IntPolynomial) -> Optional[int]:
-    """H >= 1 with v(phi(theta)) = V + H, or None when phi divides f.
-
-    The polygon of f with respect to the pending modulus of a complete
-    branch is one-sided of width one and integer slope -H.
-    """
-    tipo.ensure_rep()
-    _, cloud = tipo.newton_data(f)
-    if 0 not in cloud:
-        return None
-    sides = principal_sides(sorted(cloud.items()))
-    if len(sides) != 1 or sides[0].width != 1 or sides[0].e != 1:
-        raise InvariantViolation("complete branch with a non-unit polygon of f")
-    return sides[0].h
-
-
 def ensure_H1(tipo: Type, f: IntPolynomial) -> IntPolynomial:
     """A representative of the branch whose polygon of f has slope -1.
 
@@ -185,14 +168,14 @@ def ensure_H1(tipo: Type, f: IntPolynomial) -> IntPolynomial:
     otherwise adding a canonical lift at value V+1 caps the contact from
     below, including the case where the modulus divides f exactly.
     """
-    tipo.ensure_rep()
-    W = tipo.order + 1
-    if _contact(tipo, f) == 1:
+    touch = contact(tipo, f)
+    if touch is not None and touch[0] == 1:
         return tipo.phi
+    W = tipo.order + 1
     _, _, V = tipo.order_data(W)
     phi_hat = tipo.phi + tipo.lift_simple(V + 1, W)
-    probe = Type(tipo.p, tipo.F1, tipo.psi0, tipo.levels, phi_hat, 0, tipo.mult)
-    if _contact(probe, f) != 1:
+    touch = contact(Type(tipo.p, tipo.F1, tipo.levels, phi_hat, 0, tipo.mult), f)
+    if touch is None or touch[0] != 1:
         raise InvariantViolation("tweaked representative missed contact 1")
     return phi_hat
 
@@ -316,65 +299,3 @@ def compute_generators(result) -> List[FieldElement]:
             primes[i].generator = (alphas[i].num, alphas[i].p_power)
         pending = [i for i in pending if alphas[i] is None]
     return alphas
-
-
-def _complete_type(record, f: IntPolynomial, p: int) -> Type:
-    if record.kind != "dedekind":
-        return record.tipo
-    psi0 = tuple(c % p for c in record.dede_phi.coeffs)
-    t0 = Type.order_zero(p, psi0, record.dede_mult)
-    if record.dede_mult == 1:
-        return t0
-    coeffs, cloud = t0.newton_data(f)
-    sides = principal_sides(sorted(cloud.items()))
-    if len(sides) != 1 or sides[0].h != 1 or sides[0].e != record.dede_mult:
-        raise InvariantViolation("shortcut record with an unexpected polygon")
-    res = t0.residual_on_side(sides[0], coeffs, cloud)
-    fld = t0.order_data(1)[0]
-    return t0.extended(1, record.dede_mult, [fld.div(res[0], res[1]), fld.one], 1)
-
-
-def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
-    """Exact valuation of P(theta) at the record's prime, with v(p) = e.
-
-    Expand P along the record's modulus; every expansion term has a known
-    exact value, so the minimum is the answer whenever it is attained once.
-    A tie could hide cancellation, so the modulus is refined along the
-    one-step polygon of f, raising its own value by at least one per round,
-    until the minimum separates.  No beta arithmetic is involved.
-    """
-    if P.is_zero:
-        raise ZeroAtTheta("the zero polynomial has no valuation")
-    if record.value_type is None:
-        T = _complete_type(record, f, p)
-        H = _contact(T, f)
-    else:
-        T, H = record.value_type
-    prev_h = 0
-    rounds = 0
-    while True:
-        W = T.order + 1
-        _, cloud = T.newton_data(P)
-        if H is None:
-            # the modulus is the exact component factor; only j = 0 survives
-            record.value_type = T, H
-            if 0 not in cloud:
-                raise ZeroAtTheta("vanishes identically on the prime's component")
-            return cloud[0]
-        vals = [u + j * H for j, u in cloud.items()]
-        best = min(vals)
-        if vals.count(best) == 1:
-            record.value_type = T, H
-            return best
-        if H <= prev_h:
-            raise InvariantViolation("refinement failed to raise the contact")
-        prev_h = H
-        fcoeffs, fcloud = T.newton_data(f)
-        side = principal_sides(sorted(fcloud.items()))[0]
-        res = T.residual_on_side(side, fcoeffs, fcloud)
-        fld = T.order_data(W)[0]
-        T = T.refined(H, [fld.div(res[0], res[1]), fld.one], 1)
-        H = _contact(T, f)
-        rounds += 1
-        if rounds > 8 * (best + f.degree + 16):
-            raise InvariantViolation("valuation separation did not terminate")

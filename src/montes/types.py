@@ -1,4 +1,5 @@
-"""Branch invariants: valuation levels, residual coefficients, lifts.
+"""Branch invariants: valuation levels, residual coefficients, lifts, and
+the valuation of a polynomial at a finished prime.
 
 A type of order r carries r committed levels.  Level i holds a monic
 polynomial phi_i, a slope -h_i/e_i, and a monic irreducible psi_i over the
@@ -9,20 +10,32 @@ levels sits a pending representative phi of degree m_{r+1}, the modulus for
 the next polygon; refinement swaps it for a better one of the same degree,
 extension commits it as level r+1.
 
-Residual coefficients are split into an intrinsic part and a twist: the
-coefficient attached to abscissa j of a polygon at order R is w_R^j times a
-value depending only on the expansion coefficient itself.  The twist
-exponents are integers because e_{R-1} divides V_R.
+One recursion reads a polynomial at an order: v expands it once along the
+level's modulus and returns its value together with the terms that attain
+it, the points on the line of slope -h/e, each with its own reading one
+order down.  cval reads the residual value off those terms, and
+newton_data keeps the reading of every coefficient next to the polygon, so
+nothing is expanded twice.  Residual coefficients are split into an
+intrinsic part and a twist: the coefficient attached to abscissa j of a
+polygon at order R is w_R^j times a value depending only on the expansion
+coefficient itself.  The twist exponents are integers because e_{R-1}
+divides V_R.
+
+value_at_prime reads the value of P(theta) at a finished prime off the same
+polygons, so the index, the discriminant and the generators share one route.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ForbiddenResidualY, InvariantViolation, UnliftableTarget
+from .errors import ForbiddenResidualY, InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import Field
-from .polygon import Side
+from .polygon import Side, principal_sides
 from .zpoly import IntPolynomial, phi_expand, vpoly
+
+# v_R(P) with the terms that attain it, as Type.v returns them
+Reading = Tuple[int, object]
 
 
 class Level:
@@ -67,13 +80,12 @@ class Type:
     in the next polygon: only sides steeper than -cut_h carry new information.
     """
 
-    __slots__ = ("p", "F1", "psi0", "levels", "phi", "cut_h", "mult")
+    __slots__ = ("p", "F1", "levels", "phi", "cut_h", "mult")
 
     def __init__(
         self,
         p: int,
         F1: Field,
-        psi0: Sequence,
         levels: Tuple[Level, ...],
         phi: Optional[IntPolynomial],
         cut_h: int,
@@ -81,7 +93,6 @@ class Type:
     ):
         self.p = p
         self.F1 = F1
-        self.psi0 = psi0
         self.levels = levels
         self.phi = phi
         self.cut_h = cut_h
@@ -93,7 +104,7 @@ class Type:
         F0 = Field(p)
         F1 = F0.extend(psi0)
         phi1 = IntPolynomial([int(c) for c in psi0])
-        return cls(p, F1, psi0, (), phi1, 0, mult)
+        return cls(p, F1, (), phi1, 0, mult)
 
     @property
     def order(self) -> int:
@@ -117,79 +128,79 @@ class Type:
         lvl = self.levels[R - 2]
         return lvl.fld, lvl.up_w, lvl.up_V
 
-    # --- valuations ---
+    # --- valuations and residual values ---
 
-    def v(self, P: IntPolynomial, R: int) -> int:
-        """v_R(P) for nonzero P."""
+    def v(self, P: IntPolynomial, R: int) -> Reading:
+        """The reading of nonzero P at order R: v_R(P) and the terms attaining it.
+
+        At R = 1 the terms are the coefficients of P.  Above, they are the
+        pairs (j, reading of a_j at R - 1) for the coefficients a_j of the
+        phi-adic expansion of P on the line of slope -h/e through v_R(P).
+        """
         if P.is_zero:
             raise InvariantViolation("valuation of zero")
         if R == 1:
-            return vpoly(P, self.p)
+            return vpoly(P, self.p), P.coeffs
         lvl = self.levels[R - 2]
-        best = None
+        pts = []
         for j, a in enumerate(phi_expand(P, lvl.phi)):
-            if a.is_zero:
-                continue
-            val = lvl.e * (self.v(a, R - 1) + j * lvl.V) + lvl.h * j
-            if best is None or val < best:
-                best = val
-        return best
+            if not a.is_zero:
+                r = self.v(a, R - 1)
+                pts.append((lvl.e * (r[0] + j * lvl.V) + lvl.h * j, j, r))
+        u = min(pts)[0]
+        return u, [(j, r) for val, j, r in pts if val == u]
 
-    # --- residual coefficients ---
-
-    def cval(self, a: IntPolynomial, R: int):
-        """Intrinsic residual value of nonzero a (deg a < m_R) in F_R."""
+    def cval(self, reading: Reading, R: int):
+        """Intrinsic residual value in F_R of a reading that v returned."""
+        u, terms = reading
         if R == 1:
-            q = self.p ** vpoly(a, self.p)
-            return self.F1.embed([(c // q) % self.p for c in a.coeffs])
+            q = self.p ** u
+            return self.F1.embed([(c // q) % self.p for c in terms])
         lvl = self.levels[R - 2]
-        below, w_below, _ = self.order_data(R - 1)
-        fld = lvl.fld
-        pts: List[Tuple[int, int, IntPolynomial]] = []
-        for j, aj in enumerate(phi_expand(a, lvl.phi)):
-            if not aj.is_zero:
-                pts.append((j, self.v(aj, R - 1) + j * lvl.V, aj))
-        u = min(lvl.e * uj + lvl.h * j for j, uj, _ in pts)
-        on_line = [(j, aj) for j, uj, aj in pts if lvl.e * uj + lvl.h * j == u]
-        s = on_line[0][0]
+        s = terms[0][0]
         if (s - lvl.ell * u) % lvl.e != 0:
             raise InvariantViolation("component abscissa off the residue class")
-        cs = [below.zero] * lvl.f
-        for j, aj in on_line:
-            cs[(j - s) // lvl.e] = below.mul(below.pow(w_below, j), self.cval(aj, R - 1))
-        t = (s - lvl.ell * u) // lvl.e
-        return fld.mul(fld.pow(fld.gen(), t), fld.embed(cs))
+        cs = [self.order_data(R - 1)[0].zero] * lvl.f
+        for j, r in terms:
+            cs[(j - s) // lvl.e] = self._twisted(j, r, R - 1)
+        fld = lvl.fld
+        return fld.mul(fld.pow(fld.gen(), (s - lvl.ell * u) // lvl.e), fld.embed(cs))
+
+    def _twisted(self, j: int, reading: Reading, R: int):
+        """w_R^j times the residual value: the coefficient at abscissa j."""
+        fld, w, _ = self.order_data(R)
+        return fld.mul(fld.pow(w, j), self.cval(reading, R))
 
     # --- the working polygon ---
 
-    def newton_data(
-        self, P: IntPolynomial
-    ) -> Tuple[List[IntPolynomial], Dict[int, int]]:
-        """Expansion of P by the pending modulus and its polygon ordinates."""
+    def newton_data(self, P: IntPolynomial) -> Tuple[Dict[int, Reading], Dict[int, int]]:
+        """Readings of the coefficients of P along the pending modulus, by
+        abscissa, and the polygon ordinates they give."""
         self.ensure_rep()
         W = self.order + 1
         _, _, VW = self.order_data(W)
-        coeffs = phi_expand(P, self.phi)
+        readings: Dict[int, Reading] = {}
         cloud: Dict[int, int] = {}
-        for j, a in enumerate(coeffs):
+        for j, a in enumerate(phi_expand(P, self.phi)):
             if not a.is_zero:
-                cloud[j] = self.v(a, W) + j * VW
-        return coeffs, cloud
+                readings[j] = r = self.v(a, W)
+                cloud[j] = r[0] + j * VW
+        return readings, cloud
 
     def residual_on_side(
-        self, side: Side, coeffs: List[IntPolynomial], cloud: Dict[int, int]
+        self, side: Side, readings: Dict[int, Reading], cloud: Dict[int, int]
     ) -> List:
         """Residual polynomial of the side, a list over the working field."""
         W = self.order + 1
-        fld, w, _ = self.order_data(W)
+        fld = self.order_data(W)[0]
         out = []
         for k in range(side.steps + 1):
             j = side.x0 + k * side.e
             u = cloud.get(j)
             if u is None or side.e * (u - side.y0) != -side.h * (j - side.x0):
                 out.append(fld.zero)
-                continue
-            out.append(fld.mul(fld.pow(w, j), self.cval(coeffs[j], W)))
+            else:
+                out.append(self._twisted(j, readings[j], W))
         if fld.is_zero(out[0]) or fld.is_zero(out[-1]):
             raise InvariantViolation("side residual lost a vertex coefficient")
         return out
@@ -197,7 +208,8 @@ class Type:
     # --- lifting residual data back to integer polynomials ---
 
     def lift(self, rho, u: int, R: int) -> IntPolynomial:
-        """A polynomial Q, deg Q < m_R, with v_R(Q) = u and cval_R(Q) = rho."""
+        """A polynomial Q, deg Q < m_R, whose reading at R has value u and
+        residual value rho."""
         if u < 0:
             raise UnliftableTarget("negative target value")
         if R == 1:
@@ -266,7 +278,7 @@ class Type:
         if self.phi is None:
             lvl = self.levels[-1]
             parent = Type(
-                self.p, self.F1, self.psi0, self.levels[:-1], lvl.phi, 0, self.mult
+                self.p, self.F1, self.levels[:-1], lvl.phi, 0, self.mult
             )
             self.phi = parent.representative(lvl.h, lvl.e, lvl.psi)
 
@@ -277,13 +289,94 @@ class Type:
         new_phi = self.representative(h, 1, psi)
         if new_phi.degree != self.phi.degree:
             raise InvariantViolation("refinement changed the modulus degree")
-        return Type(self.p, self.F1, self.psi0, self.levels, new_phi, h, mult)
+        return Type(self.p, self.F1, self.levels, new_phi, h, mult)
 
     def extended(self, h: int, e: int, psi: Sequence, mult: int) -> "Type":
         """Commit the pending modulus as a level; the next one is built lazily."""
         self.ensure_rep()
-        W = self.order + 1
-        _, _, VW = self.order_data(W)
-        below = self.order_data(W)[0]
+        below, _, VW = self.order_data(self.order + 1)
         lvl = Level(self.phi, h, e, psi, VW, below)
-        return Type(self.p, self.F1, self.psi0, self.levels + (lvl,), None, 0, mult)
+        return Type(self.p, self.F1, self.levels + (lvl,), None, 0, mult)
+
+
+# --- the value of a polynomial at a finished prime ---
+
+
+def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
+    """(H, c) with v(phi(theta)) = V + H and y + c the residual polynomial of
+    the polygon of f, or None when the pending modulus phi divides f.
+
+    The polygon of f with respect to the pending modulus of a complete
+    branch is one-sided of width one and integer slope -H.
+    """
+    readings, cloud = tipo.newton_data(f)
+    if 0 not in cloud:
+        return None
+    sides = principal_sides(sorted(cloud.items()))
+    if len(sides) != 1 or sides[0].width != 1 or sides[0].e != 1:
+        raise InvariantViolation("complete branch with a non-unit polygon of f")
+    res = tipo.residual_on_side(sides[0], readings, cloud)
+    fld = tipo.order_data(tipo.order + 1)[0]
+    return sides[0].h, fld.div(res[0], res[1])
+
+
+def _complete_type(record, f: IntPolynomial, p: int) -> Type:
+    """The record's complete branch, built from the modulus of a prime that
+    the Dedekind shortcut finished."""
+    if record.kind != "dedekind":
+        return record.tipo
+    psi0 = tuple(c % p for c in record.dede_phi.coeffs)
+    t0 = Type.order_zero(p, psi0, record.dede_mult)
+    if record.dede_mult == 1:
+        return t0
+    readings, cloud = t0.newton_data(f)
+    sides = principal_sides(sorted(cloud.items()))
+    if len(sides) != 1 or sides[0].h != 1 or sides[0].e != record.dede_mult:
+        raise InvariantViolation("shortcut record with an unexpected polygon")
+    res = t0.residual_on_side(sides[0], readings, cloud)
+    F1 = t0.F1
+    return t0.extended(1, record.dede_mult, [F1.div(res[0], res[1]), F1.one], 1)
+
+
+def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
+    """Exact valuation of P(theta) at the record's prime, with v(p) = e.
+
+    Expand P along the record's modulus; every expansion term has a known
+    exact value, so the minimum is the answer whenever it is attained once.
+    A tie could hide cancellation, so the modulus is refined along the
+    one-step polygon of f, raising its own value by at least one per round,
+    until the minimum separates.  The contact of each modulus comes with the
+    residual root that refines it, so f is expanded once per modulus.
+    """
+    if P.is_zero:
+        raise ZeroAtTheta("the zero polynomial has no valuation")
+    if record.value_type is None:
+        T = _complete_type(record, f, p)
+        touch = contact(T, f)
+    else:
+        T, touch = record.value_type
+    prev_h = 0
+    rounds = 0
+    while True:
+        _, cloud = T.newton_data(P)
+        if touch is None:
+            # the modulus is the exact component factor; only j = 0 survives
+            record.value_type = T, touch
+            if 0 not in cloud:
+                raise ZeroAtTheta("vanishes identically on the prime's component")
+            return cloud[0]
+        H, c = touch
+        vals = [u + j * H for j, u in cloud.items()]
+        best = min(vals)
+        if vals.count(best) == 1:
+            record.value_type = T, touch
+            return best
+        if H <= prev_h:
+            raise InvariantViolation("refinement failed to raise the contact")
+        prev_h = H
+        fld = T.order_data(T.order + 1)[0]
+        T = T.refined(H, [c, fld.one], 1)
+        touch = contact(T, f)
+        rounds += 1
+        if rounds > 8 * (best + f.degree + 16):
+            raise InvariantViolation("valuation separation did not terminate")

@@ -5,13 +5,15 @@ holds the x^i coefficient) with trailing zeros trimmed, so the representation
 of a polynomial is canonical and hashable.
 """
 
+from math import gcd
+
 from .errors import (
     DegreeTooSmall,
     DivisionByZero,
     NonMonicModulus,
     ZeroPolynomial,
 )
-from .ffield import Field, pgcd, ptrim
+from .ffield import Field, _zp_mul, pgcd, ptrim
 
 
 class IntPolynomial:
@@ -71,15 +73,7 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return IntPolynomial(out)
+        return IntPolynomial(_zp_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -191,12 +185,7 @@ def phi_expand(P, phi):
 
 def content(f):
     """Positive gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in f.coeffs:
-        g = _gcd_int(g, c)
-        if g == 1:
-            return 1
-    return g
+    return gcd(*f.coeffs)
 
 
 def primitive_part(f):
@@ -204,13 +193,6 @@ def primitive_part(f):
     if c in (0, 1):
         return f
     return IntPolynomial(tuple(v // c for v in f.coeffs))
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def pseudo_divmod(A, B):
@@ -251,7 +233,7 @@ def gcd_z(f, g):
         return A
     if A.lc < 0:
         A = -A
-    c = _gcd_int(content(f), content(g))
+    c = gcd(content(f), content(g))
     return A * c if c > 1 else A
 
 

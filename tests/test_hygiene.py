@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports, no rational arithmetic in the
-package, and no package code that only the tests call.  All three are read
-off the syntax tree, so no linter is needed."""
+package, no package code that only the tests call, and package imports at
+the top of their modules.  All four are read off the syntax tree, so no
+linter is needed."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,24 @@ def test_no_package_code_only_the_tests_call():
             ):
                 found.append(f"{path.name}:{node.lineno}: {node.name}")
     assert found == []
+
+
+def test_one_function_level_import_of_the_package():
+    # driver.py imports idealgen inside factor_prime, so that a run without
+    # --generators never loads it; every other import of a package module
+    # sits at the top of its module
+    found = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if node in tree.body:
+                continue
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "montes"
+            ):
+                found.append((path.name, node.module, [a.name for a in node.names]))
+            elif isinstance(node, ast.Import) and any(
+                a.name.split(".")[0] == "montes" for a in node.names
+            ):
+                found.append((path.name, None, [a.name for a in node.names]))
+    assert found == [("driver.py", "idealgen", ["compute_generators"])]

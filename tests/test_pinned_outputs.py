@@ -2,10 +2,12 @@
 
 Each case is reduced to a SHA-256 digest of its text: the coefficients of a
 random tower, or the `montes factor --json` payload without `timings_ms`,
-dumped with sorted keys.  The digests were computed by the program before
-its residue fields changed from nested tuples to one absolute basis per
-level; a change that moves any of them changes what the program answers, or
-the rng stream that random towers consume.
+dumped with sorted keys.  The digests of A2 and `tower:5`, which reach
+deeper orders, were computed by the program before the value of a
+coefficient and its residual value came from one expansion; the others
+before its residue fields changed from nested tuples to one absolute basis
+per level.  A change that moves any of them changes what the program
+answers, or the rng stream that random towers consume.
 """
 
 import hashlib
@@ -21,6 +23,9 @@ A1 = IntPolynomial([
     59914669248, 10978063488, -641009376, -1583408736, 486721116,
     24745392, -12522636, -172872, 130095, 476, -588, 0, 1,
 ])
+# the degree-150 composed cube g^50 + 2^89 g^25 + 2^178, g = x^3 + x + 5
+G = IntPolynomial([5, 1, 0, 1])
+A2 = G**50 + IntPolynomial([2**89]) * G**25 + IntPolynomial([2**178])
 FULL = ("--generators", "--disc")
 
 # name -> (input, prime, flags); chains are (p, f0, levels h:e:f), tower seed 1
@@ -28,8 +33,10 @@ CASES = {
     "chain-p3": ((3, 2, ((1, 2, 2), (1, 1, 2), (1, 3, 2))), None, ()),
     "chain-p2": ((2, 2, ((1, 2, 3), (1, 1, 2), (1, 3, 1), (1, 1, 2))), None, ()),
     "A1": (lambda: A1, 2, FULL),
+    "A2": (lambda: A2, 2, FULL),
     "tower:3": (lambda: tower_phi(3), 2, FULL),
     "tower:4": (lambda: tower_phi(4), 2, FULL),
+    "tower:5": (lambda: tower_phi(5), 2, FULL),
     "quartic-refine:13:10": (lambda: quartic_refine(13, 10), 13, FULL),
     "multi-branch:1 --disc": (lambda: multi_branch(1), 13, ("--disc",)),
 }
@@ -38,8 +45,10 @@ PINNED = {
     "chain-p3": "c8ee353e8ea4caea851f336f30bd4c686855ca7ea481f889465dd031e8797011",
     "chain-p2": "240625bbdb4fcef15278c6d91f294791bfed10798dc34bc7359a1066e3834f7e",
     "A1": "3e133cf0d6bf963ef4ca6b75711ddecc70d66b339c2c5d8613a9eb9a8218160f",
+    "A2": "7db09323ee5fd5a7f263ce07c6a2be18ebd15cd40c1baf0f06fad20383d66559",
     "tower:3": "148a17f0503997e970168482c2e9a1084c20ab1d9403f67539a9323679b88dcb",
     "tower:4": "7106e195e5b944da4ee70ca7fe4ae556acd5f45de81b78d15ce60aff7dc2fc9d",
+    "tower:5": "b508f2c5d05b570f1de041f058decc291433a82af285135daa12a3cb4db68f74",
     "quartic-refine:13:10": "975f2259420e47c85f33443dd9428927734a16446e714b05f0e7295ac69421d1",
     "multi-branch:1 --disc": "7b07ea43d4280c83cbc43452194d2cc83b82acbcb15fa9f39590936e06a6de17",
 }

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from montes import types
+from montes.driver import factor_prime
 from montes.errors import ForbiddenResidualY, UnliftableTarget
 from montes.ffield import factor as ffactor
 from montes.polygon import principal_sides
-from montes.types import Type
+from montes.types import Type, value_at_prime
 from montes.zpoly import IntPolynomial
 
 from .test_zpoly import F12
@@ -33,11 +35,11 @@ def f8_level_one():
 def test_order_zero_polygon_of_x2_plus_2():
     t = Type.order_zero(2, [0, 1], 2)
     f = IntPolynomial([2, 0, 1])
-    coeffs, cloud = t.newton_data(f)
+    readings, cloud = t.newton_data(f)
     assert cloud == {0: 1, 2: 0}
     sides = principal_sides(sorted(cloud.items()))
     assert [(s.h, s.e) for s in sides] == [(1, 2)]
-    res = t.residual_on_side(sides[0], coeffs, cloud)
+    res = t.residual_on_side(sides[0], readings, cloud)
     assert res == [t.F1.one, t.F1.one]  # y + 1
     rep = t.representative(1, 2, res)
     assert rep == IntPolynomial([2, 0, 1])
@@ -59,11 +61,11 @@ def test_forbidden_residual_root_zero():
 
 def test_f12_order_one_polygons():
     t = order_zero_2adic_x()
-    coeffs, cloud = t.newton_data(F12)
+    readings, cloud = t.newton_data(F12)
     sides = principal_sides(sorted(cloud.items()))
     assert [(s.h, s.e) for s in sides] == [(1, 1), (1, 2)]
     assert sum(s.width for s in sides) == 8
-    res = t.residual_on_side(sides[1], coeffs, cloud)
+    res = t.residual_on_side(sides[1], readings, cloud)
     assert res == [t.F1.one, t.F1.zero, t.F1.one]  # y^2 + 1 = (y+1)^2
     assert ffactor(t.F1, res) == [([t.F1.one, t.F1.one], 2)]
 
@@ -88,7 +90,7 @@ def test_extended_level_data():
     phi1 = IntPolynomial([1, 1, 0, 1])
     assert t2.phi == phi1 * phi1 + IntPolynomial([2]) * phi1 + IntPolynomial([4])
     # value of the pending modulus matches the committed formula
-    assert t2.v(t2.phi, 2) == 2
+    assert t2.v(t2.phi, 2)[0] == 2
 
 
 def test_lift_base_order_powers_of_two():
@@ -100,8 +102,8 @@ def test_lift_base_order_powers_of_two():
     assert ext.lift(one2, 2, 2) == IntPolynomial([2])
     for u in range(2, 8):
         q = ext.lift(one2, u, 2)
-        assert ext.v(q, 2) == u
-        assert ext.cval(q, 2) == one2
+        assert ext.v(q, 2)[0] == u
+        assert ext.cval(ext.v(q, 2), 2) == one2
 
 
 def test_lift_roundtrip_f64():
@@ -115,8 +117,8 @@ def test_lift_roundtrip_f64():
         u = rng.randint(1, 9)
         q = t2.lift(rho, u, 2)
         assert q.degree < 6
-        assert t2.v(q, 2) == u
-        assert t2.cval(q, 2) == rho
+        assert t2.v(q, 2)[0] == u
+        assert t2.cval(t2.v(q, 2), 2) == rho
 
 
 def test_lift_infeasible_target():
@@ -126,7 +128,7 @@ def test_lift_infeasible_target():
     with pytest.raises(UnliftableTarget):
         t2.lift(z, 0, 2)
     q = t2.lift(z, 1, 2)
-    assert t2.v(q, 2) == 1 and t2.cval(q, 2) == z
+    assert t2.v(q, 2)[0] == 1 and t2.cval(t2.v(q, 2), 2) == z
 
 
 def test_cval_multiplicative():
@@ -138,9 +140,9 @@ def test_cval_multiplicative():
         b = IntPolynomial([rng.randint(-40, 40) for _ in range(3)])
         if a.is_zero or b.is_zero:
             continue
-        assert t2.v(a * b, 2) == t2.v(a, 2) + t2.v(b, 2)
-        got = t2.cval(a * b, 2)
-        want = F64.mul(t2.cval(a, 2), t2.cval(b, 2))
+        assert t2.v(a * b, 2)[0] == t2.v(a, 2)[0] + t2.v(b, 2)[0]
+        got = t2.cval(t2.v(a * b, 2), 2)
+        want = F64.mul(t2.cval(t2.v(a, 2), 2), t2.cval(t2.v(b, 2), 2))
         assert got == want
 
 
@@ -148,18 +150,18 @@ def test_refinement_finds_exact_square_root():
     t = f8_base_type()
     phi1 = IntPolynomial([1, 1, 0, 1])
     f = (phi1 + IntPolynomial([2])) ** 2
-    coeffs, cloud = t.newton_data(f)
+    readings, cloud = t.newton_data(f)
     sides = principal_sides(sorted(cloud.items()))
     assert [(s.h, s.e) for s in sides] == [(1, 1)]
-    res = t.residual_on_side(sides[0], coeffs, cloud)
+    res = t.residual_on_side(sides[0], readings, cloud)
     fct = ffactor(t.F1, res)
     assert fct == [([t.F1.one, t.F1.one], 2)]
     t2 = t.refined(1, fct[0][0], 2)
     assert t2.phi == phi1 + IntPolynomial([2])
     assert t2.cut_h == 1 and t2.mult == 2 and t2.order == 0
     # the refined modulus divides f exactly: its expansion has a zero tail
-    coeffs2, _ = t2.newton_data(f)
-    assert coeffs2[0].is_zero and coeffs2[1].is_zero
+    _, cloud2 = t2.newton_data(f)
+    assert 0 not in cloud2 and 1 not in cloud2
 
 
 def test_pending_value_matches_formula():
@@ -168,11 +170,11 @@ def test_pending_value_matches_formula():
     t2 = t.extended(1, 2, [t.F1.one, t.F1.one], 2)
     t2.ensure_rep()
     assert t2.phi == IntPolynomial([2, 0, 1])
-    assert t2.v(t2.phi, 2) == t2.order_data(2)[2] == 2
+    assert t2.v(t2.phi, 2)[0] == t2.order_data(2)[2] == 2
     F2fld = t2.order_data(2)[0]
     t3 = t2.extended(5, 1, [F2fld.one, F2fld.one], 1)
     t3.ensure_rep()
-    assert t3.v(t3.phi, 3) == t3.order_data(3)[2] == 7
+    assert t3.v(t3.phi, 3)[0] == t3.order_data(3)[2] == 7
     assert t3.phi.degree == 2
     assert (t3.e_prod, t3.f_prod) == (2, 1)
 
@@ -183,11 +185,11 @@ def test_second_order_polygon_pinned():
     t2 = t.extended(1, 2, [t.F1.one, t.F1.one], 2)
     phi = IntPolynomial([2, 0, 1])
     f = phi * phi + IntPolynomial([0, 8]) * phi + IntPolynomial([64])
-    coeffs, cloud = t2.newton_data(f)
+    readings, cloud = t2.newton_data(f)
     assert cloud == {0: 12, 1: 9, 2: 4}
     sides = principal_sides(sorted(cloud.items()))
     assert [(s.h, s.e) for s in sides] == [(4, 1)]
-    res = t2.residual_on_side(sides[0], coeffs, cloud)
+    res = t2.residual_on_side(sides[0], readings, cloud)
     F = t2.order_data(2)[0]
     assert res == [F.one, F.zero, F.one]
 
@@ -196,3 +198,52 @@ def test_mult_carried():
     t = f8_base_type()
     t2 = t.extended(1, 1, [t.F1.one, t.F1.one, t.F1.one], 3)
     assert t2.mult == 3
+
+
+def test_one_expansion_per_coefficient_and_modulus(monkeypatch):
+    # The polygon of a coefficient is read once: the residual polynomial of
+    # a side comes from the readings newton_data kept, and value_at_prime
+    # expands f once per modulus it passes through, refinements included.
+    expansions = []
+    expand = types.phi_expand
+
+    def counted_expand(P, phi):
+        expansions.append((P, phi))
+        return expand(P, phi)
+
+    moduli = []
+    newton_data = Type.newton_data
+
+    def counted_newton_data(self, P):
+        out = newton_data(self, P)
+        if P == F12:
+            moduli.append(self.phi)
+        return out
+
+    residual_orders = []
+    residual = Type.residual_on_side
+
+    def checked_residual(self, *args):
+        before = len(expansions)
+        out = residual(self, *args)
+        assert len(expansions) == before
+        residual_orders.append(self.order)
+        return out
+
+    monkeypatch.setattr(types, "phi_expand", counted_expand)
+    monkeypatch.setattr(Type, "newton_data", counted_newton_data)
+    monkeypatch.setattr(Type, "residual_on_side", checked_residual)
+    r = factor_prime(F12, 2, generators=True)
+    assert max(residual_orders) >= 1
+
+    rounds = []
+    for rec in r.primes:
+        for other in r.primes:
+            rec.value_type = None
+            moduli.clear()
+            expansions.clear()
+            value_at_prime(rec, other.generator[0], F12, 2)
+            assert len(set(moduli)) == len(moduli)
+            assert sum(P == F12 for P, _ in expansions) == len(moduli)
+            rounds.append(len(moduli) - 1)
+    assert max(rounds) >= 1
