@@ -18,7 +18,7 @@ import time
 from typing import List, Optional, Tuple
 
 from .corpus import multi_branch, quartic_refine, random_tower, tower_phi
-from .driver import disc_valuation, factor_prime
+from .driver import RunResult, disc_valuation, factor_prime
 from .errors import InputError, InvariantViolation, ParseError
 from .zpoly import IntPolynomial
 
@@ -226,15 +226,27 @@ def _read_poly(args) -> IntPolynomial:
     return parse_poly(text)
 
 
-def _result_payload(r, want_disc: bool, timings: dict) -> dict:
+def _run(f: IntPolynomial, p: int, seed: int, generators: bool) -> Tuple[RunResult, list]:
+    """The run of factor_prime, with its generators when they are asked for.
+
+    idealgen is imported here, so that a run without them never loads it.
+    """
+    r = factor_prime(f, p, seed=seed)
+    if not generators:
+        return r, [None] * len(r.primes)
+    from .idealgen import compute_generators
+
+    return r, compute_generators(r)
+
+
+def _result_payload(r, gens: list, want_disc: bool, timings: dict) -> dict:
     disc_v = disc_valuation(r) if want_disc else None
     primes = []
-    for rec in r.primes:
+    for rec, alpha in zip(r.primes, gens):
         gen = None
-        if rec.generator is not None:
-            G, k = rec.generator
-            cs = list(G.coeffs) or [0]
-            gen = {"num": [str(c) for c in cs], "p_power": k}
+        if alpha is not None:
+            cs = list(alpha.num.coeffs) or [0]
+            gen = {"num": [str(c) for c in cs], "p_power": alpha.p_power}
         primes.append({"e": rec.e, "f": rec.f, "generator": gen})
     return {
         "prime": str(r.p),
@@ -271,14 +283,14 @@ def cmd_factor(args) -> int:
     f = _read_poly(args)
     t1 = time.perf_counter()
     _check_prime_size(args.prime)
-    r = factor_prime(f, args.prime, seed=args.seed, generators=args.generators)
+    r, gens = _run(f, args.prime, args.seed, args.generators)
     t2 = time.perf_counter()
     timings = {
         "parse": round((t1 - t0) * 1000.0, 3),
         "factor": round((t2 - t1) * 1000.0, 3),
         "total": round((t2 - t0) * 1000.0, 3),
     }
-    payload = _result_payload(r, args.disc, timings)
+    payload = _result_payload(r, gens, args.disc, timings)
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -377,7 +389,7 @@ def cmd_bench(args) -> int:
         index = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            r = factor_prime(f, p, seed=args.seed, generators=args.generators)
+            r, _ = _run(f, p, args.seed, args.generators)
             took.append((time.perf_counter() - t0) * 1000.0)
             index = r.index
         ms = sum(took) / len(took)
@@ -410,7 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fa.add_argument("--generators", action="store_true", help="also compute two-element generators")
     fa.add_argument("--disc", action="store_true", help="also compute v_p(disc f)")
     fa.add_argument("--json", action="store_true", help="machine-readable output")
-    fa.add_argument("--seed", type=int, default=0, help="seed for randomized field arithmetic")
+    fa.add_argument(
+        "--seed", type=int, default=0, help="seed for the random splits; the output is the same"
+    )
     fa.set_defaults(run=cmd_factor)
 
     co = sub.add_parser("corpus", help="emit a stress-test polynomial")

@@ -5,18 +5,28 @@ orders; the quartic-refine family forces about 2k refinement steps on a
 degree-4 input; the multi-branch family carries many translated copies of one
 deep factor, each contributing its own complete branch.  A randomized tower
 with prescribed (h, e, f) per level is available for fuzzing.
+
+Constants bound the build work before anything is built: the number of
+multi-branch translates, and a random tower's prime size and residue degree
+f0 * prod(f_i), which set the cost of its irreducible searches (the README
+gives timings).
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .ffield import Field, factor
 from .types import Type
 from .zpoly import IntPolynomial, X, is_prime
+
+
+_MAX_BRANCHES = 8
+_MAX_TOWER_RESIDUE_DEGREE = 32
+_MAX_TOWER_PRIME_BITS = 16
 
 
 def _c(n: int) -> IntPolynomial:
@@ -179,8 +189,8 @@ def multi_branch(j: int) -> IntPolynomial:
     Each translate contributes one complete branch: j primes, each with
     ramification 5 and residual degree 24 at p = 13.
     """
-    if j < 1:
-        raise InputError("j must be positive")
+    if not 1 <= j <= _MAX_BRANCHES:
+        raise InputError(f"j must be between 1 and {_MAX_BRANCHES}")
     phi = branch_phi()
     out = IntPolynomial([1])
     for k in range(j):
@@ -209,19 +219,25 @@ def random_tower(
     single prime above p with ramification prod e_i and residual degree
     f0 * prod f_i.
     """
+    if p.bit_length() > _MAX_TOWER_PRIME_BITS:
+        raise InputError(f"a random tower's prime has at most {_MAX_TOWER_PRIME_BITS} bits")
     if not is_prime(p):
         raise InputError("p must be prime")
     if f0 < 1:
         raise InputError("f0 must be positive")
+    for h, e, fdeg in chain:
+        if h < 1 or e < 1 or fdeg < 1 or gcd(h, e) != 1:
+            raise InputError("each level needs h,e,f >= 1 with gcd(h,e) = 1")
+    if f0 * prod(fdeg for _, _, fdeg in chain) > _MAX_TOWER_RESIDUE_DEGREE:
+        raise InputError(
+            f"a random tower's residue degree is at most {_MAX_TOWER_RESIDUE_DEGREE}"
+        )
     rng = random.Random(seed)
     base = Field(p)
     psi0 = _random_irreducible(base, f0, rng, nonzero_constant=False)
     t = Type.order_zero(p, tuple(int(c) for c in psi0), 1)
     for h, e, fdeg in chain:
-        if h < 1 or e < 1 or fdeg < 1 or gcd(h, e) != 1:
-            raise InputError("each level needs h,e,f >= 1 with gcd(h,e) = 1")
         fld = t.order_data(t.order + 1)[0]
         psi = _random_irreducible(fld, fdeg, rng, nonzero_constant=True)
         t = t.extended(h, e, psi, 1)
-    t.ensure_rep()
     return t.phi

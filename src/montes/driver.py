@@ -36,10 +36,10 @@ class PrimeRecord:
     kind tells how the prime completed: "dedekind" via the shortcut at
     initialization, "side" via a multiplicity-one residual factor, "factor"
     when the pending modulus divides f exactly.  tipo holds the completed
-    branch for the generator machinery; generator is filled by it on
-    demand.  value_type caches value_at_prime's improved branch with what
-    contact read off it: the contact H and the residual root c that would
-    refine it further, or None when the branch's modulus divides f.
+    branch.  complete caches the branch the prime's values are read on with
+    its contact: the contact H and the residual root c that would refine it
+    further, or None when the branch's modulus divides f.  value_type caches
+    value_at_prime's improved branch the same way.
     """
 
     e: int
@@ -47,8 +47,7 @@ class PrimeRecord:
     kind: str
     tipo: Optional[Type] = None
     dede_phi: Optional[IntPolynomial] = None
-    dede_mult: int = 0
-    generator: Optional[Tuple[IntPolynomial, int]] = None
+    complete: Optional[Tuple[Type, Optional[Tuple[int, object]]]] = None
     value_type: Optional[Tuple[Type, Optional[Tuple[int, object]]]] = None
 
 
@@ -87,51 +86,37 @@ def _initialize(
     branches: List[Type] = []
     for psi, a, phi in lifts:
         if a == 1 or pmod(F0, mbar, psi):
-            dedekind.append(
-                PrimeRecord(
-                    e=a,
-                    f=len(psi) - 1,
-                    kind="dedekind",
-                    dede_phi=phi,
-                    dede_mult=a,
-                )
-            )
+            dedekind.append(PrimeRecord(e=a, f=len(psi) - 1, kind="dedekind", dede_phi=phi))
         else:
             branches.append(Type.order_zero(p, psi, a))
     return dedekind, branches
 
 
-def _run_branch(
-    f: IntPolynomial,
-    t0: Type,
-    task_id: int,
-    seed: int,
-    refine: bool,
-) -> Tuple[List[PrimeRecord], int, int]:
-    rng = random.Random(f"{seed}:{task_id}")
-    n = f.degree
-    stack = [t0]
-    records: List[PrimeRecord] = []
-    index = 0
-    counter = 0
+def _run_branch(run: RunResult, branches: List[Type], rng: random.Random, refine: bool) -> None:
+    """Pop the order-zero branches in order, each followed depth-first by the
+    branches it spawns, adding the primes, the index and the pops to the run.
+    The pops are bounded by 8 * index plus 4n + 16 per order-zero branch."""
+    f = run.poly
+    budget = len(branches) * (4 * f.degree + 16)
+    stack = branches[::-1]
     while stack:
         t = stack.pop()
-        counter += 1
-        if counter > 4 * (2 * index + n) + 16:
+        run.pop_count += 1
+        if run.pop_count > 8 * run.index + budget:
             raise InvariantViolation("splitting loop exceeded its progress budget")
         readings, cloud = t.newton_data(f)
         fld = t.order_data(t.order + 1)[0]
         phi_divides = 0 not in cloud
         if phi_divides:
-            records.append(PrimeRecord(e=t.e_prod, f=t.f_prod, kind="factor", tipo=t))
+            run.primes.append(PrimeRecord(e=t.e_prod, f=t.f_prod, kind="factor", tipo=t))
         pts = sorted(cloud.items())
         sides_all = principal_sides(pts)
-        index += t.f_prod * region_index(sides_all, t.cut_h)
+        run.index += t.f_prod * region_index(sides_all, t.cut_h)
         sides = cut_sides(sides_all, t.cut_h)
         width = sum(s.width for s in sides)
         if width != t.mult - (1 if phi_divides else 0):
             raise InvariantViolation("polygon width disagrees with multiplicity")
-        branches: List[Type] = []
+        children: List[Type] = []
         for side in sides:
             res = t.residual_on_side(side, readings, cloud)
             fct = ffactor(fld, res, rng)
@@ -142,42 +127,28 @@ def _run_branch(
                     raise InvariantViolation("residual factor vanishes at zero")
                 if om == 1:
                     ct = t.extended(side.h, side.e, psi, 1)
-                    records.append(
+                    run.primes.append(
                         PrimeRecord(e=ct.e_prod, f=ct.f_prod, kind="side", tipo=ct)
                     )
                 elif refine and side.e == 1 and len(psi) == 2:
-                    branches.append(t.refined(side.h, psi, om))
+                    children.append(t.refined(side.h, psi, om))
                 else:
-                    branches.append(t.extended(side.h, side.e, psi, om))
-        stack.extend(reversed(branches))
-    return records, index, counter
+                    children.append(t.extended(side.h, side.e, psi, om))
+        stack.extend(reversed(children))
 
 
-def factor_prime(
-    f: IntPolynomial,
-    p: int,
-    seed: int = 0,
-    refine: bool = True,
-    generators: bool = False,
-) -> RunResult:
-    """Primes above p in Q[x]/(f), and the p-valuation of the index of f."""
-    rng = random.Random(f"{seed}:init")
+def factor_prime(f: IntPolynomial, p: int, seed: int = 0, refine: bool = True) -> RunResult:
+    """Primes above p in Q[x]/(f), and the p-valuation of the index of f.
+
+    The seed steers the random splits of the mod-p factorizations, which
+    sort what they return, so it changes the running time and not the result.
+    """
+    rng = random.Random(seed)
     dedekind, branches = _initialize(f, p, rng)
-    results = [_run_branch(f, t, i + 1, seed, refine) for i, t in enumerate(branches)]
-    records = list(dedekind)
-    index = 0
-    pop_count = 0
-    for recs, idx, cnt in results:
-        records.extend(recs)
-        index += idx
-        pop_count += cnt
-    if sum(r.e * r.f for r in records) != f.degree:
+    result = RunResult(p, f, 0, dedekind, 0)
+    _run_branch(result, branches, rng, refine)
+    if sum(r.e * r.f for r in result.primes) != f.degree:
         raise InvariantViolation("ramification data does not fill the degree")
-    result = RunResult(p, f, index, records, pop_count)
-    if generators:
-        from .idealgen import compute_generators
-
-        compute_generators(result)
     return result
 
 

@@ -452,10 +452,8 @@ def equal_degree_factors(K: Field, f: Sequence, d: int, rng: random.Random) -> L
     return done
 
 
-def factor(K: Field, f: Sequence, rng: Optional[random.Random] = None) -> List[Tuple[List, int]]:
+def factor(K: Field, f: Sequence, rng: random.Random) -> List[Tuple[List, int]]:
     """Factor nonzero f into monic irreducibles, sorted by (degree, key)."""
-    if rng is None:
-        rng = random.Random(1299709)
     f = pmonic(K, ptrim(K, list(f)))
     if not f:
         raise DivisionByZero("factoring the zero polynomial")

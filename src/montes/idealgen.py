@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
-from .types import Type, contact, value_at_prime
+from .types import Type, complete_branch, contact, value_at_prime
 from .zpoly import IntPolynomial, pval, vpoly
 
 
@@ -161,14 +161,14 @@ def p_adic_inverse(
             return found[0], found[1], N
 
 
-def ensure_H1(tipo: Type, f: IntPolynomial) -> IntPolynomial:
-    """A representative of the branch whose polygon of f has slope -1.
+def ensure_H1(record, f: IntPolynomial, p: int) -> IntPolynomial:
+    """A representative of the record's branch whose polygon of f has slope -1.
 
     The pending modulus is returned unchanged when it already has contact 1;
     otherwise adding a canonical lift at value V+1 caps the contact from
     below, including the case where the modulus divides f exactly.
     """
-    touch = contact(tipo, f)
+    tipo, touch = complete_branch(record, f, p)
     if touch is not None and touch[0] == 1:
         return tipo.phi
     W = tipo.order + 1
@@ -206,7 +206,7 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     polygon, where it is negative."""
     if record.kind == "dedekind":
         phi = record.dede_phi
-        if record.dede_mult == 1:
+        if record.e == 1:
             rem = f.divmod_monic(phi)[1]
             if not rem.is_zero and vpoly(rem, p) == 1:
                 return _element(phi.coeffs, 0, p)
@@ -215,7 +215,6 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
         return _element(phi.coeffs, 0, p)
 
     tipo = record.tipo
-    tipo.ensure_rep()
     W = tipo.order + 1
 
     if record.kind == "factor":
@@ -242,7 +241,7 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
         return _glue(pi, w, quo, 1, d, p)
 
     lvl = tipo.levels[-1]
-    phi_hat = ensure_H1(tipo, f)
+    phi_hat = ensure_H1(record, f, p)
     k = lvl.e * lvl.f
     d = lvl.phi
     quo, rem = f.divmod_monic(d)
@@ -255,7 +254,7 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
 
 
 def compute_generators(result) -> List[FieldElement]:
-    """Fill generator = (G, k) with alpha = G(theta)/p^k on every record.
+    """alpha = G(theta)/p^k for every prime of a finished run, in its order.
 
     v_Q(beta_P) is read off beta_P for every other prime Q, and every such
     value must be at most 0.  alpha_P is beta_P times alpha_Q^(-v) over the
@@ -296,6 +295,5 @@ def compute_generators(result) -> List[FieldElement]:
             for j, m in needs[i].items():
                 elem = _mul(elem, _pow(alphas[j], m, f, p, A), f, p, A)
             alphas[i] = _element(elem.num.coeffs, elem.p_power, p)
-            primes[i].generator = (alphas[i].num, alphas[i].p_power)
         pending = [i for i in pending if alphas[i] is None]
     return alphas

@@ -46,7 +46,7 @@ class Level:
     as the level is committed.
     """
 
-    __slots__ = ("phi", "h", "e", "ell", "ellp", "psi", "f", "V", "fld", "up_V", "up_w")
+    __slots__ = ("phi", "h", "e", "ell", "psi", "f", "V", "fld", "up_V", "up_w")
 
     def __init__(
         self,
@@ -61,7 +61,6 @@ class Level:
         self.h = h
         self.e = e
         self.ell = pow(h, -1, e) if e > 1 else 0
-        self.ellp = (self.ell * h - 1) // e
         self.psi = [c for c in psi]
         self.f = len(self.psi) - 1
         self.V = V
@@ -78,9 +77,10 @@ class Type:
     mult is the residual multiplicity the branch still has to resolve (1 means
     the branch pins down a single prime).  cut_h bounds the slopes of interest
     in the next polygon: only sides steeper than -cut_h carry new information.
+    The pending modulus of an extension is built on its first read.
     """
 
-    __slots__ = ("p", "F1", "levels", "phi", "cut_h", "mult")
+    __slots__ = ("p", "F1", "levels", "_phi", "cut_h", "mult")
 
     def __init__(
         self,
@@ -94,7 +94,7 @@ class Type:
         self.p = p
         self.F1 = F1
         self.levels = levels
-        self.phi = phi
+        self._phi = phi
         self.cut_h = cut_h
         self.mult = mult
 
@@ -105,6 +105,14 @@ class Type:
         F1 = F0.extend(psi0)
         phi1 = IntPolynomial([int(c) for c in psi0])
         return cls(p, F1, (), phi1, 0, mult)
+
+    @property
+    def phi(self) -> IntPolynomial:
+        if self._phi is None:
+            lvl = self.levels[-1]
+            parent = Type(self.p, self.F1, self.levels[:-1], lvl.phi, 0, self.mult)
+            self._phi = parent.representative(lvl.h, lvl.e, lvl.psi)
+        return self._phi
 
     @property
     def order(self) -> int:
@@ -176,7 +184,6 @@ class Type:
     def newton_data(self, P: IntPolynomial) -> Tuple[Dict[int, Reading], Dict[int, int]]:
         """Readings of the coefficients of P along the pending modulus, by
         abscissa, and the polygon ordinates they give."""
-        self.ensure_rep()
         W = self.order + 1
         _, _, VW = self.order_data(W)
         readings: Dict[int, Reading] = {}
@@ -256,7 +263,6 @@ class Type:
 
         psi is monic over the working field with nonzero constant term.
         """
-        self.ensure_rep()
         W = self.order + 1
         fld, w, VW = self.order_data(W)
         fpsi = len(psi) - 1
@@ -274,14 +280,6 @@ class Type:
             out = out + Q * self.phi ** (j * e)
         return out
 
-    def ensure_rep(self) -> None:
-        if self.phi is None:
-            lvl = self.levels[-1]
-            parent = Type(
-                self.p, self.F1, self.levels[:-1], lvl.phi, 0, self.mult
-            )
-            self.phi = parent.representative(lvl.h, lvl.e, lvl.psi)
-
     # --- branch moves ---
 
     def refined(self, h: int, psi: Sequence, mult: int) -> "Type":
@@ -293,7 +291,6 @@ class Type:
 
     def extended(self, h: int, e: int, psi: Sequence, mult: int) -> "Type":
         """Commit the pending modulus as a level; the next one is built lazily."""
-        self.ensure_rep()
         below, _, VW = self.order_data(self.order + 1)
         lvl = Level(self.phi, h, e, psi, VW, below)
         return Type(self.p, self.F1, self.levels + (lvl,), None, 0, mult)
@@ -320,22 +317,28 @@ def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
     return sides[0].h, fld.div(res[0], res[1])
 
 
-def _complete_type(record, f: IntPolynomial, p: int) -> Type:
-    """The record's complete branch, built from the modulus of a prime that
-    the Dedekind shortcut finished."""
+def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tuple[int, object]]]:
+    """The record's complete branch with its contact, read once per record.
+
+    A prime that the Dedekind shortcut finished gets its branch built from
+    its modulus here.
+    """
+    if record.complete is not None:
+        return record.complete
     if record.kind != "dedekind":
-        return record.tipo
-    psi0 = tuple(c % p for c in record.dede_phi.coeffs)
-    t0 = Type.order_zero(p, psi0, record.dede_mult)
-    if record.dede_mult == 1:
-        return t0
-    readings, cloud = t0.newton_data(f)
-    sides = principal_sides(sorted(cloud.items()))
-    if len(sides) != 1 or sides[0].h != 1 or sides[0].e != record.dede_mult:
-        raise InvariantViolation("shortcut record with an unexpected polygon")
-    res = t0.residual_on_side(sides[0], readings, cloud)
-    F1 = t0.F1
-    return t0.extended(1, record.dede_mult, [F1.div(res[0], res[1]), F1.one], 1)
+        T = record.tipo
+    else:
+        e = record.e
+        T = Type.order_zero(p, tuple(c % p for c in record.dede_phi.coeffs), e)
+        if e > 1:
+            readings, cloud = T.newton_data(f)
+            sides = principal_sides(sorted(cloud.items()))
+            if len(sides) != 1 or sides[0].h != 1 or sides[0].e != e:
+                raise InvariantViolation("shortcut record with an unexpected polygon")
+            res = T.residual_on_side(sides[0], readings, cloud)
+            T = T.extended(1, e, [T.F1.div(res[0], res[1]), T.F1.one], 1)
+    record.complete = T, contact(T, f)
+    return record.complete
 
 
 def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
@@ -350,11 +353,7 @@ def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
     """
     if P.is_zero:
         raise ZeroAtTheta("the zero polynomial has no valuation")
-    if record.value_type is None:
-        T = _complete_type(record, f, p)
-        touch = contact(T, f)
-    else:
-        T, touch = record.value_type
+    T, touch = record.value_type or complete_branch(record, f, p)
     prev_h = 0
     rounds = 0
     while True:

@@ -17,6 +17,7 @@ import time
 from montes.cli import main, poly_to_expr
 from montes.corpus import multi_branch, tower_phi
 from montes.driver import disc_valuation, factor_prime
+from montes.idealgen import compute_generators
 from montes.polygon import cut_sides, principal_sides, region_index
 from montes.zpoly import IntPolynomial, pval
 
@@ -239,9 +240,10 @@ def test_a6_property_suite(capsys):
 
 def test_a7_generators(capsys):
     t0 = time.perf_counter()
-    r = factor_prime(F12, 2, generators=True)
-    ok = valuation_grid(r) == identity_grid(6)
-    ok = ok and all(q.generator[1] >= 0 for q in r.primes)
+    r = factor_prime(F12, 2)
+    alphas = compute_generators(r)
+    ok = valuation_grid(r, alphas) == identity_grid(6)
+    ok = ok and all(a.p_power >= 0 for a in alphas)
 
     # Domination structure of the benchmark: three records each fold in one
     # other generator, with correction exponents 4, 4 and 1.
@@ -253,9 +255,10 @@ def test_a7_generators(capsys):
     for _ in range(20):
         f = random_squarefree(rng)
         p = rng.choice([2, 3, 5, 13])
-        rr = factor_prime(f, p, generators=True)
-        ok = ok and valuation_grid(rr) == identity_grid(len(rr.primes))
-        ok = ok and all(q.generator[1] >= 0 for q in rr.primes)
+        rr = factor_prime(f, p)
+        alphas = compute_generators(rr)
+        ok = ok and valuation_grid(rr, alphas) == identity_grid(len(rr.primes))
+        ok = ok and all(a.p_power >= 0 for a in alphas)
     dt = time.perf_counter() - t0
     ok = ok and dt < 30.0
     assert report(

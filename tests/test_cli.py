@@ -202,6 +202,29 @@ def test_corpus_and_bench_sizes_capped_exit_2(capsys, argv):
     assert code == 2 and out == "" and "coefficient bits" in err
     assert time.perf_counter() - t0 < 1.0
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("corpus", "--family", "multi-branch", "--j", "9"), "j must be between 1 and 8"),
+        (("bench", "multi-branch:24"), "j must be between 1 and 8"),
+        # each level's irreducible search runs over the residue field below
+        (("corpus", "--family", "tower", "--f0", "33", "--chain", "1:1:1"), "residue degree"),
+        (("corpus", "--family", "tower", "--f0", "2", "--chain", "1:2:4,1:1:5"), "residue degree"),
+        (("corpus", "--family", "tower", "--prime", "65537", "--chain", "1:1:1"), "16 bits"),
+    ],
+)
+def test_corpus_build_work_capped_exit_2(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_random_tower_at_its_caps():
+    # residue degree 2 * 4 * 4 = 32 at a prime of 16 bits
+    assert random_tower(65521, 2, [(1, 2, 4), (1, 1, 4)], seed=1).degree == 64
+
+
 def test_factor_poly_file_not_utf8_exit_2(tmp_path, capsys):
     path = tmp_path / "poly.txt"
     path.write_bytes(b"x^2+\xff1")

@@ -169,13 +169,13 @@ def test_pdivmod_roundtrip():
 def test_factor_strips_mod2_content():
     # x^12 + x^8 over F_2 is y^8 (y+1)^4
     f = poly(F2, [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1])
-    got = factor(F2, f)
+    got = factor(F2, f, random.Random(1299709))
     assert got == [([0, 1], 8), ([1, 1], 4)]
 
 
 def test_factor_pth_power():
     # y^4 + y^2 + 1 = (y^2 + y + 1)^2 over F_2
-    assert factor(F2, poly(F2, [1, 0, 1, 0, 1])) == [([1, 1, 1], 2)]
+    assert factor(F2, poly(F2, [1, 0, 1, 0, 1]), random.Random(1299709)) == [([1, 1, 1], 2)]
 
 
 def test_squarefree_parts_char_p():
@@ -199,20 +199,20 @@ def test_pth_root_inverts_frobenius():
 
 def test_factor_splits_cubics_char2():
     a, b = poly(F2, [1, 1, 0, 1]), poly(F2, [1, 0, 1, 1])
-    got = factor(F2, pmul(F2, a, b))
+    got = factor(F2, pmul(F2, a, b), random.Random(1299709))
     assert got == sorted([(a, 1), (b, 1)], key=lambda fm: pkey(F2, fm[0]))
 
 
 def test_factor_splits_quadratics_odd_char():
     a, b = poly(F13, [11, 0, 1]), poly(F13, [7, 0, 1])  # y^2-2, y^2-6
     assert not is_irreducible(F13, pmul(F13, a, b))
-    got = factor(F13, pmul(F13, a, b))
+    got = factor(F13, pmul(F13, a, b), random.Random(1299709))
     assert got == [(b, 1), (a, 1)]  # keys compare ascending coefficient tuples
 
 
 def test_factor_nonmonic_input_normalized():
     f = [F13.from_int(c) for c in [2, 0, 2]]  # 2(y^2 + 1), and -1 is square mod 13
-    got = factor(F13, f)
+    got = factor(F13, f, random.Random(1299709))
     assert [m for _, m in got] == [1, 1]
     assert all(len(g) == 2 for g, _ in got)
 
@@ -221,7 +221,7 @@ def test_factor_over_extension_field():
     # y^2 + y + 1 splits over F_4 into the two conjugate linears
     F4 = F2.extend([1, 1, 1])
     z = F4.gen()
-    got = factor(F4, [F4.one, F4.one, F4.one])
+    got = factor(F4, [F4.one, F4.one, F4.one], random.Random(1299709))
     roots = sorted([z, F4.mul(z, z)], key=F4.key)
     assert got == [([F4.neg(r), F4.one], 1) for r in roots]
 
@@ -240,7 +240,7 @@ def test_factor_deterministic_across_rngs():
 
 def test_equal_degree_factors_direct():
     rng = random.Random(5)
-    irr = [g for g, _ in factor(F13, poly(F13, [11, 0, 1]))]
+    irr = [g for g, _ in factor(F13, poly(F13, [11, 0, 1]), random.Random(1299709))]
     assert irr == [poly(F13, [11, 0, 1])]
     prod = pmul(F13, poly(F13, [11, 0, 1]), poly(F13, [7, 0, 1]))
     got = equal_degree_factors(F13, prod, 2, rng)

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports, no rational arithmetic in the
-package, no package code that only the tests call, and package imports at
-the top of their modules.  All four are read off the syntax tree, so no
-linter is needed."""
+package, no package code that only the tests call, no slot or dataclass
+field that nothing reads, and package imports at the top of their modules.
+All five are read off the syntax tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -84,10 +84,48 @@ def test_no_package_code_only_the_tests_call():
     assert found == []
 
 
+def declared_attributes(path):
+    """(line, name) of every __slots__ entry and dataclass field in a module."""
+    out = []
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any(
+            (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+            for d in cls.decorator_list
+        )
+        for node in cls.body:
+            if dataclass and isinstance(node, ast.AnnAssign):
+                out.append((node.lineno, node.target.id))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                out += [(node.lineno, elt.value) for elt in node.value.elts]
+    return out
+
+
+def test_no_attribute_that_nothing_reads():
+    # An attribute counts as read when the package or the benchmark loads
+    # any attribute of that name; stores and deletes do not count.
+    reads = {
+        node.attr
+        for path in CALLERS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in PACKAGE
+        for line, name in declared_attributes(path)
+        if name not in reads
+    ]
+    assert found == []
+
+
 def test_one_function_level_import_of_the_package():
-    # driver.py imports idealgen inside factor_prime, so that a run without
-    # --generators never loads it; every other import of a package module
-    # sits at the top of its module
+    # cli.py imports idealgen inside the helper that runs factor and bench,
+    # so that a run without --generators never loads it; every other import
+    # of a package module sits at the top of its module
     found = []
     for path in PACKAGE:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -102,4 +140,4 @@ def test_one_function_level_import_of_the_package():
                 a.name.split(".")[0] == "montes" for a in node.names
             ):
                 found.append((path.name, None, [a.name for a in node.names]))
-    assert found == [("driver.py", "idealgen", ["compute_generators"])]
+    assert found == [("cli.py", "idealgen", ["compute_generators"])]

@@ -1,12 +1,18 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from montes import idealgen
+from montes import idealgen, types
 from montes.cli import parse_poly
-from montes.driver import factor_prime
+from montes.driver import disc_valuation, factor_prime
 from montes.errors import InvariantViolation, ZeroAtTheta
 from montes.corpus import tower_phi
 from montes.idealgen import beta, compute_generators, p_adic_inverse, value_at_prime
@@ -24,16 +30,13 @@ def lin(c):
     return X + IntPolynomial([c])
 
 
-def valuation_grid(result):
+def valuation_grid(result, gens):
     """v_q(alpha_p) for every pair, through the expansion-value route only."""
     f, p = result.poly, result.p
-    rows = []
-    for rec in result.primes:
-        G, k = rec.generator
-        rows.append(
-            [value_at_prime(q, G, f, p) - k * q.e for q in result.primes]
-        )
-    return rows
+    return [
+        [value_at_prime(q, a.num, f, p) - a.p_power * q.e for q in result.primes]
+        for a in gens
+    ]
 
 
 def identity_grid(n):
@@ -55,26 +58,37 @@ def corrections(result):
 
 
 def test_generators_off_by_default():
-    r = factor_prime(F12, 2)
-    assert all(rec.generator is None for rec in r.primes)
+    # A plain run leaves the generators out and never loads idealgen.
+    code = (
+        "import json, sys\n"
+        "from montes.cli import main\n"
+        "main(['factor', '--prime', '2', '--poly', 'x^2+4*x+16', '--json'])\n"
+        "assert 'montes.idealgen' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert [q["generator"] for q in json.loads(out)["primes"]] == [None]
 
 
 def test_benchmark_grid_is_identity():
-    r = factor_prime(F12, 2, generators=True)
-    assert valuation_grid(r) == identity_grid(6)
+    r = factor_prime(F12, 2)
+    assert valuation_grid(r, compute_generators(r)) == identity_grid(6)
 
 
 def test_benchmark_domination_structure():
     # Three pairs of branches; in each pair the steeper side dominates the
     # shallower one and nothing crosses between pairs.
-    r = factor_prime(F12, 2, generators=True)
+    r = factor_prime(F12, 2)
     assert corrections(r) == {(1, 0): 4, (3, 2): 1, (5, 4): 4}
 
 
 def test_benchmark_beta_values():
     # Each quotient has value one at its own prime, and every nonzero value
     # it has at another prime is negative.
-    r = factor_prime(F12, 2, generators=True)
+    r = factor_prime(F12, 2)
     for rec in r.primes:
         b = beta(rec, F12, 2)
         assert value_at_prime(rec, b.num, F12, 2) - rec.e * b.p_power == 1
@@ -82,9 +96,41 @@ def test_benchmark_beta_values():
 
 
 def test_corrections_from_later_primes():
-    r = factor_prime(LATE_CORRECTIONS, 2, generators=True)
+    r = factor_prime(LATE_CORRECTIONS, 2)
     assert corrections(r) == {(0, 1): 1, (0, 2): 1, (2, 1): 1, (4, 3): 1}
-    assert valuation_grid(r) == identity_grid(5)
+    assert valuation_grid(r, compute_generators(r)) == identity_grid(5)
+
+
+def test_one_contact_per_modulus(monkeypatch):
+    # value_at_prime and ensure_H1 share the contact of a record's complete
+    # branch, so the generators and the discriminant together read the
+    # contact of each modulus once.
+    calls = Counter()
+    contact = types.contact
+
+    def counted_contact(tipo, f):
+        calls[tipo.phi] += 1
+        return contact(tipo, f)
+
+    monkeypatch.setattr(types, "contact", counted_contact)
+    monkeypatch.setattr(idealgen, "contact", counted_contact)
+    for f in (F12, LATE_CORRECTIONS, tower_phi(5)):
+        calls.clear()
+        r = factor_prime(f, 2)
+        compute_generators(r)
+        disc_valuation(r)
+        assert len(calls) >= len(r.primes) and set(calls.values()) == {1}
+
+
+def test_generators_do_not_depend_on_what_ran_before():
+    # Both read and fill the same caches on the records.
+    for f in (F12, LATE_CORRECTIONS, tower_phi(4)):
+        first = factor_prime(f, 2)
+        gens = compute_generators(first)
+        then = factor_prime(f, 2)
+        disc = disc_valuation(then)
+        assert compute_generators(then) == gens
+        assert disc_valuation(first) == disc
 
 
 def test_positive_off_diagonal_value_is_an_invariant_violation(monkeypatch):
@@ -104,9 +150,9 @@ def test_cyclic_corrections_are_an_invariant_violation(monkeypatch):
 def test_trimmed_output_form():
     # Numerators are folded into the symmetric range mod p^(k+2) and keep a
     # denominator that is a pure prime power, coprime to the content.
-    r = factor_prime(F12, 2, generators=True)
-    for rec in r.primes:
-        G, k = rec.generator
+    r = factor_prime(F12, 2)
+    for a in compute_generators(r):
+        G, k = a.num, a.p_power
         assert k >= 0
         bound = 2 ** (k + 2)
         assert all(2 * abs(c) <= bound for c in G.coeffs)
@@ -116,44 +162,45 @@ def test_trimmed_output_form():
 
 def test_split_pair_generators():
     # x(x+2) at 2: one exact factor, one completed side.  Pinned output.
-    r = factor_prime(X * lin(2), 2, generators=True)
-    assert valuation_grid(r) == identity_grid(2)
-    gens = sorted((tuple(g.coeffs), k) for g, k in (rec.generator for rec in r.primes))
+    r = factor_prime(X * lin(2), 2)
+    alphas = compute_generators(r)
+    assert valuation_grid(r, alphas) == identity_grid(2)
+    gens = sorted((tuple(a.num.coeffs), a.p_power) for a in alphas)
     assert gens == [((-4, 1), 1), ((2, 3), 1)]
 
 
 def test_three_branch_grid():
-    r = factor_prime(X * lin(2) * lin(4), 2, generators=True)
-    assert valuation_grid(r) == identity_grid(3)
+    r = factor_prime(X * lin(2) * lin(4), 2)
+    assert valuation_grid(r, compute_generators(r)) == identity_grid(3)
 
 
 def test_dedekind_ramified_generator():
     # Eisenstein x^2+2: the shortcut prime takes phi itself.
-    r = factor_prime(IntPolynomial([2, 0, 1]), 2, generators=True)
+    r = factor_prime(IntPolynomial([2, 0, 1]), 2)
     assert r.primes[0].kind == "dedekind"
-    assert valuation_grid(r) == identity_grid(1)
-    G, k = r.primes[0].generator
-    assert (tuple(G.coeffs), k) == ((0, 1), 0)
+    (alpha,) = compute_generators(r)
+    assert valuation_grid(r, [alpha]) == identity_grid(1)
+    assert (tuple(alpha.num.coeffs), alpha.p_power) == ((0, 1), 0)
 
 
 def test_dedekind_unramified_pair_needs_twist():
     # x^2+x+4 splits mod 2 into x and x+1, but both remainders of f are
     # divisible by 4, so each generator is phi + p (folded symmetrically).
-    r = factor_prime(IntPolynomial([4, 1, 1]), 2, generators=True)
+    r = factor_prime(IntPolynomial([4, 1, 1]), 2)
     assert all(rec.kind == "dedekind" for rec in r.primes)
-    assert valuation_grid(r) == identity_grid(2)
+    assert valuation_grid(r, compute_generators(r)) == identity_grid(2)
 
 
 def test_tower_level_two_single_prime():
     phi1 = IntPolynomial([16, 4, 1])
     phi2 = phi1 * phi1 + IntPolynomial([0, 16]) * phi1 + IntPolynomial([4096])
-    r = factor_prime(phi2, 2, generators=True)
+    r = factor_prime(phi2, 2)
     assert [(rec.e, rec.f) for rec in r.primes] == [(1, 4)]
-    assert valuation_grid(r) == identity_grid(1)
+    assert valuation_grid(r, compute_generators(r)) == identity_grid(1)
 
 
 def test_value_route_basics():
-    r = factor_prime(X * lin(2), 2, generators=True)
+    r = factor_prime(X * lin(2), 2)
     f = X * lin(2)
     for rec in r.primes:
         assert value_at_prime(rec, IntPolynomial([2]), f, 2) == rec.e
@@ -181,11 +228,12 @@ def test_random_grids():
         if not is_squarefree(f):
             continue
         p = rng.choice([2, 3, 5])
-        r = factor_prime(f, p, generators=True)
-        assert valuation_grid(r) == identity_grid(len(r.primes))
+        r = factor_prime(f, p)
+        alphas = compute_generators(r)
+        assert valuation_grid(r, alphas) == identity_grid(len(r.primes))
         # v_p(N(alpha_P)) = f_P, read off a resultant the program never forms
-        for rec in r.primes:
-            G, k = rec.generator
+        for rec, a in zip(r.primes, alphas):
+            G, k = a.num, a.p_power
             assert pval(sylvester_resultant(f.coeffs, G.coeffs), p) == k * f.degree + rec.f
         done += 1
 
@@ -194,10 +242,11 @@ def test_tower_level_four_generator():
     # Degree 32, one prime (2,16): a deep quotient whose inverse needs a few
     # precision doublings.
     f = tower_phi(4)
-    r = factor_prime(f, 2, generators=True)
+    r = factor_prime(f, 2)
     assert [(rec.e, rec.f) for rec in r.primes] == [(2, 16)]
-    assert valuation_grid(r) == identity_grid(1)
-    G, k = r.primes[0].generator
+    (alpha,) = compute_generators(r)
+    assert valuation_grid(r, [alpha]) == identity_grid(1)
+    G, k = alpha.num, alpha.p_power
     assert pval(sylvester_resultant(f.coeffs, G.coeffs), 2) == k * f.degree + r.primes[0].f
 
 

@@ -6,6 +6,7 @@ from montes import types
 from montes.driver import factor_prime
 from montes.errors import ForbiddenResidualY, UnliftableTarget
 from montes.ffield import factor as ffactor
+from montes.idealgen import compute_generators
 from montes.polygon import principal_sides
 from montes.types import Type, value_at_prime
 from montes.zpoly import IntPolynomial
@@ -67,7 +68,7 @@ def test_f12_order_one_polygons():
     assert sum(s.width for s in sides) == 8
     res = t.residual_on_side(sides[1], readings, cloud)
     assert res == [t.F1.one, t.F1.zero, t.F1.one]  # y^2 + 1 = (y+1)^2
-    assert ffactor(t.F1, res) == [([t.F1.one, t.F1.one], 2)]
+    assert ffactor(t.F1, res, random.Random(1299709)) == [([t.F1.one, t.F1.one], 2)]
 
     t1 = Type.order_zero(2, [1, 1], 4)  # branch at psi0 = y + 1
     _, cloud1 = t1.newton_data(F12)
@@ -85,7 +86,6 @@ def test_extended_level_data():
     assert lvl.up_w == lvl.fld.one
     assert (t2.e_prod, t2.f_prod) == (1, 6)
 
-    t2.ensure_rep()
     assert t2.phi.degree == 6
     phi1 = IntPolynomial([1, 1, 0, 1])
     assert t2.phi == phi1 * phi1 + IntPolynomial([2]) * phi1 + IntPolynomial([4])
@@ -154,7 +154,7 @@ def test_refinement_finds_exact_square_root():
     sides = principal_sides(sorted(cloud.items()))
     assert [(s.h, s.e) for s in sides] == [(1, 1)]
     res = t.residual_on_side(sides[0], readings, cloud)
-    fct = ffactor(t.F1, res)
+    fct = ffactor(t.F1, res, random.Random(1299709))
     assert fct == [([t.F1.one, t.F1.one], 2)]
     t2 = t.refined(1, fct[0][0], 2)
     assert t2.phi == phi1 + IntPolynomial([2])
@@ -168,12 +168,10 @@ def test_pending_value_matches_formula():
     # across a chain of commits the pending modulus value equals up_V
     t = Type.order_zero(2, [0, 1], 8)
     t2 = t.extended(1, 2, [t.F1.one, t.F1.one], 2)
-    t2.ensure_rep()
     assert t2.phi == IntPolynomial([2, 0, 1])
     assert t2.v(t2.phi, 2)[0] == t2.order_data(2)[2] == 2
     F2fld = t2.order_data(2)[0]
     t3 = t2.extended(5, 1, [F2fld.one, F2fld.one], 1)
-    t3.ensure_rep()
     assert t3.v(t3.phi, 3)[0] == t3.order_data(3)[2] == 7
     assert t3.phi.degree == 2
     assert (t3.e_prod, t3.f_prod) == (2, 1)
@@ -233,16 +231,17 @@ def test_one_expansion_per_coefficient_and_modulus(monkeypatch):
     monkeypatch.setattr(types, "phi_expand", counted_expand)
     monkeypatch.setattr(Type, "newton_data", counted_newton_data)
     monkeypatch.setattr(Type, "residual_on_side", checked_residual)
-    r = factor_prime(F12, 2, generators=True)
+    r = factor_prime(F12, 2)
+    gens = compute_generators(r)
     assert max(residual_orders) >= 1
 
     rounds = []
     for rec in r.primes:
-        for other in r.primes:
-            rec.value_type = None
+        for alpha in gens:
+            rec.value_type = rec.complete = None
             moduli.clear()
             expansions.clear()
-            value_at_prime(rec, other.generator[0], F12, 2)
+            value_at_prime(rec, alpha.num, F12, 2)
             assert len(set(moduli)) == len(moduli)
             assert sum(P == F12 for P, _ in expansions) == len(moduli)
             rounds.append(len(moduli) - 1)
