@@ -104,6 +104,24 @@ def naive_poly_mul(a, b):
     return out
 
 
+def powmod_mod_p(a, n, m, p):
+    """a^n mod m over F_p by n products, each reduced by long division: the
+    reference of montes.ffield.ppowmod at level 0.  a and m are any ints,
+    the leading coefficient of m nonzero mod p."""
+    m = _reduced_mod_p(m, p)
+    out = list(_poly_mod_mod_p([1], m, p))
+    for _ in range(n):
+        out = list(_poly_mod_mod_p(_reduced_mod_p(naive_poly_mul(out, a), p), m, p))
+    return out
+
+
+def _reduced_mod_p(a, p):
+    out = [c % p for c in a]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def refinement_instance(rng, p=None):
     """Monic quadratic whose first residual polynomial has a double root.
 

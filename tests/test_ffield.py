@@ -23,7 +23,7 @@ from montes.ffield import (
     squarefree_parts,
 )
 
-from .oracles import TowerField, is_irreducible
+from .oracles import TowerField, is_irreducible, naive_poly_mul, powmod_mod_p
 
 F2 = Field(2)
 F13 = Field(13)
@@ -265,6 +265,9 @@ def test_powmod_matches_pow():
     for _ in range(11):
         direct = pmul(F13, direct, t)
     assert ppowmod(F13, t, 11, m) == pdivmod(F13, direct, m)[1]
+    # 1 mod a constant modulus is 0, as every other power is
+    assert ppowmod(F13, [2, 3], 0, [5]) == ppowmod(F13, [2, 3], 1, [5]) == []
+    assert ppowmod(F8, poly(F8, [1, 1]), 0, [F8.y]) == []
 
 
 def test_powmod_rejects_negative_exponent():
@@ -432,7 +435,8 @@ def test_kernel_ppowmod_matches_integer_power(p):
         a = _raw_operand(rng, p, rng.randint(0, 6))
         m = _divisor(rng, p, rng.randint(1, 6))
         n = rng.randint(0, 12)
-        want = _ref_divmod((IntPolynomial(a) ** n).coeffs, m, p)[1] if n else [1]
+        # n = 0 included: 1 mod a constant m is 0
+        want = _ref_divmod((IntPolynomial(a) ** n).coeffs, m, p)[1]
         assert ppowmod(K, a, n, m) == want
 
 
@@ -467,3 +471,89 @@ def test_factor_multiplies_back_to_monic_input(p):
                 total = pmul(K, total, g)
         inv = pow(f[-1], -1, p)
         assert total == [c * inv % p for c in f]
+
+
+# --- the Kronecker product and Barrett powering against schoolbook loops ---
+
+FP_PRIMES = (2, 3, 13, 97, 65521, 2**31 - 1, 2**61 - 1)
+KRONECKER, BARRETT = ffield._KRONECKER, ffield._BARRETT
+
+
+def _fp_coeffs(p, n):
+    # zero, unreduced, negative and top residues among any others
+    special = st.sampled_from((0, 1, -1, p - 1, p, 2 * p + 1, -p - 1))
+    return st.lists(st.one_of(special, st.integers(-3 * p, 3 * p)), min_size=n, max_size=n)
+
+
+@st.composite
+def _fp_factors(draw):
+    p = draw(st.sampled_from(FP_PRIMES))
+    length = st.one_of(st.sampled_from((0, 1, KRONECKER - 1, KRONECKER)), st.integers(0, 3 * KRONECKER))
+    return p, draw(_fp_coeffs(p, draw(length))), draw(_fp_coeffs(p, draw(length)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fp_factors())
+def test_fp_mul_matches_naive_product(case):
+    p, a, b = case
+    for x, y in ((a, b), (a, a)):
+        got = ffield._fp_mul(x, y, p)
+        assert len(got) == (len(x) + len(y) - 1 if x and y else 0)
+        assert _reduced(got, p) == _reduced(naive_poly_mul(x, y), p)
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, 255), (2, 256), (3, 63), (3, 64), (13, 455), (13, 456), (4099, 255), (4099, 256),
+     (65521, 100), (2**31 - 1, 8)],
+)
+def test_fp_mul_full_slots(p, n):
+    # every coefficient p - 1: the middle slot holds the largest sum there
+    # is, n (p - 1)^2, at the last length of one slot width and the first
+    # of the next (8 to 16, 16 to 32 and 32 to 64 bits, then the loop)
+    for a in ([p - 1] * n, [-1] * n):
+        want = _reduced(naive_poly_mul(a, a), p)
+        assert _reduced(ffield._fp_mul(a, a, p), p) == _reduced(ffield._fp_mul(a, list(a), p), p) == want
+
+
+@st.composite
+def _powmod_cases(draw):
+    p = draw(st.sampled_from(FP_PRIMES[:5] + FP_PRIMES[-1:]))
+    degree = st.one_of(st.sampled_from((0, 1, BARRETT - 1, BARRETT, BARRETT + 1)), st.integers(0, 2 * BARRETT))
+    dm = draw(degree)
+    lead = draw(st.integers(1, p - 1)) + p * draw(st.integers(-2, 2))  # monic or not
+    m = draw(_fp_coeffs(p, dm)) + [lead]
+    a = draw(_fp_coeffs(p, draw(st.integers(0, 2 * dm + 3))))  # deg a >= deg m too
+    return p, a, draw(st.integers(0, 24)), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_powmod_cases())
+def test_ppowmod_matches_powering_by_division(case):
+    p, a, n, m = case
+    assert ppowmod(Field(p), a, n, m) == powmod_mod_p(a, n, m, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(((2, 4), (3, 3), (13, 2), (97, 1))), st.integers(0, 2**32))
+def test_ppowmod_frobenius(pk, seed):
+    # a^(p^k) = a(x^(p^k)) over F_p: long exponents, checked by one division
+    (p, k), rng = pk, random.Random(seed)
+    m = [rng.randrange(p) for _ in range(rng.randint(BARRETT - 1, 3 * BARRETT))] + [rng.randrange(1, p)]
+    a = [rng.randrange(p) for _ in range(rng.randint(0, len(m) + 2))]
+    spread = [0] * (p**k * max(len(a) - 1, 0) + 1)
+    for i, c in enumerate(a):
+        spread[i * p**k] = c
+    assert ppowmod(Field(p), a, p**k, m) == powmod_mod_p(spread, 1, m, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(BARRETT - 2, 3 * BARRETT), st.integers(1, 4), st.integers(0, 2**32))
+def test_char2_trace_matches_division_loop(deg, d, seed):
+    # the tower oracle's split squares by pmul and long division; the same
+    # draws from equal rngs must give the same factor
+    rng = random.Random(seed)
+    g = [rng.randrange(2) for _ in range(deg)] + [1]
+    r1, r2 = random.Random(seed), random.Random(seed)
+    assert ffield._random_split(F2, g, d, r1) == TowerField(2)._random_split(g, d, r2)
+    assert r1.getstate() == r2.getstate()

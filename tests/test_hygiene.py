@@ -1,7 +1,8 @@
 """Source hygiene: no unused imports, no rational arithmetic in the
 package, no package code that only the tests call, no slot or dataclass
-field that nothing reads, and package imports at the top of their modules.
-All five are read off the syntax tree, so no linter is needed."""
+field that nothing reads, package imports at the top of their modules, and
+no work at import time.  All six are read off the syntax tree, so no linter
+is needed."""
 
 import ast
 from pathlib import Path
@@ -141,3 +142,21 @@ def test_one_function_level_import_of_the_package():
             ):
                 found.append((path.name, None, [a.name for a in node.names]))
     assert found == [("cli.py", "idealgen", ["compute_generators"])]
+
+
+def test_no_call_at_import_time():
+    # What a module runs when it is imported is paid by every run, `montes
+    # factor` and the benchmark's set-up alike, so a module-level statement
+    # of the package calls nothing: no table or cache is built at import.
+    # Definitions and the `__main__` guard do not count; the one exception
+    # is the constant polynomial x of zpoly.
+    found = []
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'":
+                continue
+            if any(isinstance(node, ast.Call) for node in ast.walk(stmt)):
+                found.append(f"{path.name}: {ast.unparse(stmt)}")
+    assert found == ["zpoly.py: X = IntPolynomial((0, 1))"]

@@ -6,9 +6,12 @@ dumped with sorted keys.  The digests of A2 and `tower:5`, which reach
 deeper orders, were computed by the program before the value of a
 coefficient and its residual value came from one expansion; the others
 before its residue fields changed from nested tuples to one absolute basis
-per level.  A change that moves any of them changes what the program
-answers, or the rng stream that random towers consume.  The factor payloads
-are also checked to be the same for every --seed.
+per level.  The digest of x^396 + 2 at 13, a paper-scale input whose cost is
+the mod-p factorization, was computed before F_p[x] products went through
+Kronecker substitution and powers through Barrett reduction.  A change that
+moves any of them changes what the program answers, or the rng stream that
+random towers consume.  The factor payloads are also checked to be the same
+for every --seed.
 """
 
 import hashlib
@@ -40,6 +43,7 @@ CASES = {
     "tower:5": (lambda: tower_phi(5), 2, FULL),
     "quartic-refine:13:10": (lambda: quartic_refine(13, 10), 13, FULL),
     "multi-branch:1 --disc": (lambda: multi_branch(1), 13, ("--disc",)),
+    "x^396+2": (lambda: IntPolynomial([2] + [0] * 395 + [1]), 13, ()),
 }
 
 PINNED = {
@@ -52,6 +56,7 @@ PINNED = {
     "tower:5": "b508f2c5d05b570f1de041f058decc291433a82af285135daa12a3cb4db68f74",
     "quartic-refine:13:10": "975f2259420e47c85f33443dd9428927734a16446e714b05f0e7295ac69421d1",
     "multi-branch:1 --disc": "7b07ea43d4280c83cbc43452194d2cc83b82acbcb15fa9f39590936e06a6de17",
+    "x^396+2": "6d624540f5e86d905f2df9980fd2fc02e4aac66c3478a8859c620015b79f5426",
 }
 
 
