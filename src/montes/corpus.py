@@ -9,7 +9,8 @@ with prescribed (h, e, f) per level is available for fuzzing.
 Constants bound the build work before anything is built: the number of
 multi-branch translates, and a random tower's prime size and residue degree
 f0 * prod(f_i), which set the cost of its irreducible searches (the README
-gives timings).
+gives timings), its number of levels, and the work of multiplying out its
+representative.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .zpoly import IntPolynomial, X, is_prime
 _MAX_BRANCHES = 8
 _MAX_TOWER_RESIDUE_DEGREE = 32
 _MAX_TOWER_PRIME_BITS = 16
+_MAX_TOWER_LEVELS = 32
+_MAX_TOWER_WORK = 1 << 29
 
 
 def _c(n: int) -> IntPolynomial:
@@ -225,12 +228,25 @@ def random_tower(
         raise InputError("p must be prime")
     if f0 < 1:
         raise InputError("f0 must be positive")
+    if len(chain) > _MAX_TOWER_LEVELS:
+        raise InputError(f"a random tower has at most {_MAX_TOWER_LEVELS} levels")
     for h, e, fdeg in chain:
         if h < 1 or e < 1 or fdeg < 1 or gcd(h, e) != 1:
             raise InputError("each level needs h,e,f >= 1 with gcd(h,e) = 1")
     if f0 * prod(fdeg for _, _, fdeg in chain) > _MAX_TOWER_RESIDUE_DEGREE:
         raise InputError(
             f"a random tower's residue degree is at most {_MAX_TOWER_RESIDUE_DEGREE}"
+        )
+    # Multiplying out the representative costs about n^2 products of its
+    # coefficients, of degree n, whose size in digits of p is about n from
+    # the powers of the base and V/E from the lifts at the last level's value V.
+    n, V, E = f0, 0, 1
+    for h, e, fdeg in chain:
+        n, V, E = n * e * fdeg, e * fdeg * (e * V + h), E * e
+    if n * n * (n + V // E) * p.bit_length() > _MAX_TOWER_WORK:
+        raise InputError(
+            "a random tower's build work, degree^2 times coefficient bits, "
+            f"passes {_MAX_TOWER_WORK}"
         )
     rng = random.Random(seed)
     base = Field(p)

@@ -14,7 +14,10 @@ and only G mod p^(k+2) is kept: changing G by p^(k+2) times anything
 integral changes the element by a value of at least 2 at every prime over
 p, strictly above both 0 and 1, so it moves none of the values that matter.
 The one division, by a power of the previous modulus, is an extended Euclid
-over Z_p at a precision it certifies itself (p_adic_inverse).
+over Z_p (p_adic_inverse).  Its remainders run at a precision p^N that they
+certify themselves, and its cofactors only at the digits the caller reads:
+an inverse y/p^w is read mod p^(w+A), and no w that N certifies passes
+(N-2)/2, so the cofactors are kept mod p^((N-2)//2 + A), about half of N.
 
 A squarefree but reducible f needs two escapes the irreducible case never
 meets.  A modulus that divides f exactly is a zero divisor, so the quotient
@@ -87,17 +90,26 @@ def _powmod(a: Sequence[int], k: int, m: Sequence[int], q: int) -> List[int]:
     return out
 
 
-def _euclid(a: List[int], m: List[int], p: int, N: int) -> Optional[Tuple[List[int], int]]:
-    """y, w with y*a = p^w (mod m, p^N), or None when p^N is too coarse.
+def _euclid(
+    a: List[int], m: List[int], p: int, N: int, A: int
+) -> Optional[Tuple[Optional[List[int]], int]]:
+    """y, w with y*a = p^w (mod m, p^(w+A)); (None, w) when N < 2w + 2,
+    too coarse to certify w; None when p^N is too coarse to find a w.
 
     a and m are reduced mod p^N and m is monic.  Every row keeps
-    s*a = p^e*r (mod m, p^N) exactly, with r of p-content one, so r is only
-    known mod p^(N-e) and a coefficient that vanishes there is dropped.  A
-    remainder is divided by the unit part of the divisor's leading
-    coefficient, and scaled by p wherever its own leading coefficient is
-    less divisible; the scaling lands on the older row, whose e is smaller.
+    s*a = p^e*r (mod m), r of p-content one and known only mod p^(N-e), so
+    a coefficient that vanishes there is dropped.  A remainder is divided by
+    the unit part of the divisor's leading coefficient, and scaled by p
+    wherever its own leading coefficient is less divisible; the scaling lands
+    on the older row, whose e is smaller.  The remainders alone fix the
+    quotients and w.  A cofactor is a sum of older cofactors times quotients
+    and powers of p, so it is kept mod p^M, M = (N-2)//2 + A, and is right
+    mod p^(w+A) for every w that N certifies.  Once e passes (N-2)//2, which
+    w >= e then does too, the cofactors are dropped.
     """
     q = p**N
+    cut = (N - 2) // 2
+    qs = p ** (cut + A)
     r0, s0, e0 = m, [], 0
     r1, s1, e1 = _zp_divmod(a, m, q)[1], [1], 0
     while True:
@@ -106,9 +118,13 @@ def _euclid(a: List[int], m: List[int], p: int, N: int) -> Optional[Tuple[List[i
             return None
         c = pval(gcd(*r1), p)
         r1, e1 = [x // p**c for x in r1], e1 + c
+        if e1 > cut:
+            s1 = None
         if len(r1) == 1:
-            u = pow(r1[0], -1, q)
-            return _zp_divmod([x * u for x in s1], m, q)[1], e1
+            if s1 is None:
+                return None, e1
+            u = pow(r1[0], -1, qs)
+            return _zp_divmod([x * u for x in s1], _zp_reduce(m, qs), qs)[1], e1
         db, v = len(r1) - 1, pval(r1[-1], p)
         pv = p**v
         u = pow(r1[-1] // pv, -1, q)
@@ -127,35 +143,41 @@ def _euclid(a: List[int], m: List[int], p: int, N: int) -> Optional[Tuple[List[i
             quo[i - db] = qi = lead // pv * u % q
             for j in range(db):
                 rem[i - db + j] -= qi * r1[j]
-        # p^shift*r0 - quo*r1 = rem, so this row has e = e1 before its content
-        scale = p ** (e1 - e0 + shift)
-        s2 = [x * scale for x in s0]
-        s2 += [0] * (len(s1) + len(quo) - 1 - len(s2))
-        for i, x in enumerate(_zp_mul(quo, s1)):
-            s2[i] -= x
+        s2 = None
+        if s1 is not None:
+            # p^shift*r0 - quo*r1 = rem, so this row has e = e1 before its content
+            scale = p ** (e1 - e0 + shift)
+            s2 = [x * scale for x in s0]
+            s2 += [0] * (len(s1) + len(quo) - 1 - len(s2))
+            for i, x in enumerate(_zp_mul([x % qs for x in quo], s1)):
+                s2[i] -= x
+            s2 = _zp_reduce(s2, qs)
         r0, s0, e0 = r1, s1, e1
-        r1, s1 = rem[:db], _zp_reduce(s2, q)
+        r1, s1 = rem[:db], s2
 
 
 def p_adic_inverse(
-    a: IntPolynomial, k: int, m: IntPolynomial, p: int
+    a: IntPolynomial, k: int, m: IntPolynomial, p: int, A: int
 ) -> Tuple[List[int], int, int]:
-    """y, w and N with y*a^k = p^w (mod m, p^N) and N >= 2w + 2.
+    """y, w and N with y*a^k = p^w (mod m, p^(w+A)) and N >= 2w + 2.
 
     m is monic and a^k has no common factor with it over Q.  N starts small
     and doubles until the Euclid finds a w, then grows to 2w + 2 until the
-    w found certifies it: y/p^w differs from 1/a^k by an element of value at
-    least (N - 2w)*e >= 2e at every prime over p, since a^k has value at
-    most w*e there.
+    w found certifies it: the Euclid's own cofactor y0 at this N has
+    y0*a^k = p^w (mod m, p^N), so y0/p^w differs from 1/a^k by an element of
+    value at least (N - 2w)*e >= 2e at every prime over p, since a^k has
+    value at most w*e there.  The caller reads the inverse mod p^(w+A), A
+    digits past w, and y is y0 to that precision only.  Since N >= 2w + 2,
+    w + A <= (N-2)//2 + A: the remainders need p^N, the cofactors only that.
     """
     N = 16
     while True:
         q = p**N
         mq = _zp_divisor(m.coeffs, q)
-        found = _euclid(_powmod(a.coeffs, k, mq, q), mq, p, N)
+        found = _euclid(_powmod(a.coeffs, k, mq, q), mq, p, N, A)
         if found is None:
             N *= 2
-        elif N < 2 * found[1] + 2:
+        elif found[0] is None:
             N = 2 * found[1] + 2
         else:
             return found[0], found[1], N
@@ -189,9 +211,10 @@ def _glue(
     1 + d*((num - p^w0*d^(j-1))*y mod g)/p^(w0+w), exact where d vanishes.
     On the components of g it is t + (t - 1)*eps for the target t, with
     v(eps) >= (N - w)*e, so the error is at least 2e: t is a uniformizer,
-    or has value at least -w*e, as num/d^(j-1) has.
+    or has value at least -w*e, as num/d^(j-1) has.  Only the numerator mod
+    p^(w0+w+2) is kept, so y is asked for w0 + 2 digits past w.
     """
-    y, w, _ = p_adic_inverse(d, j, g, p)
+    y, w, _ = p_adic_inverse(d, j, g, p, w0 + 2)
     W = w0 + w
     q = p ** (W + 2)
     gq = _zp_divisor(g.coeffs, q)
@@ -248,7 +271,7 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     if rem.is_zero:
         # zero divisor: the quotient lives on the complementary factor
         return _glue(phi_hat, 0, d, k + 1, quo, p)
-    y, w, _ = p_adic_inverse(d, k, f, p)
+    y, w, _ = p_adic_inverse(d, k, f, p, 2)
     q = p ** (w + 2)
     return _element(_mulmod(phi_hat.coeffs, y, _zp_divisor(f.coeffs, q), q), w, p)
 

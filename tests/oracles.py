@@ -4,7 +4,7 @@ Most of these are written head-on from the defining property (determinants,
 brute-force lattice counts, Dedekind's criterion over a brute-force
 factorization mod p, the tame discriminant identity), without reusing the
 package's algorithms, so a bug would have to appear twice, in two very
-different shapes, to go unseen.  Two are weaker:
+different shapes, to go unseen.  Three are weaker:
 
 - is_irreducible is Rabin's test.  It shares the package's F_q polynomial
   arithmetic but none of the factorization, so it checks what factor()
@@ -12,6 +12,9 @@ different shapes, to go unseen.  Two are weaker:
 - refinement_equivalence_check is not an independent oracle.  It compares
   two routes of the program itself, refining in place against climbing an
   order, through factor_prime(refine=False).
+- full_cofactor_euclid is the program's own earlier p-adic Euclid, which
+  kept every cofactor row at the full precision.  It checks that cutting
+  the cofactors short changes no digit the caller reads.
 
 TowerField is the reference for the residue fields of montes.ffield: each
 level a tuple of coordinates over the level below, every operation recursing
@@ -19,9 +22,11 @@ down to F_p, and polynomials over it multiplied, divided and factored
 coefficient by coefficient, without the package's int-list kernel.
 """
 
+from math import gcd
+
 from montes.driver import factor_prime
-from montes.ffield import pgcd, pmod, pmonic, ppowmod, psub, ptrim
-from montes.zpoly import IntPolynomial
+from montes.ffield import _zp_divmod, _zp_mul, _zp_reduce, pgcd, pmod, pmonic, ppowmod, psub, ptrim
+from montes.zpoly import IntPolynomial, pval
 
 
 class NotApplicable(Exception):
@@ -113,6 +118,58 @@ def powmod_mod_p(a, n, m, p):
     for _ in range(n):
         out = list(_poly_mod_mod_p(_reduced_mod_p(naive_poly_mul(out, a), p), m, p))
     return out
+
+
+def full_cofactor_euclid(a, m, p, N):
+    """y, w with y*a = p^w (mod m, p^N), or None when p^N is too coarse:
+    the Euclid of montes.idealgen as it was before its cofactors were cut
+    to the digits the caller reads, every row kept in full mod p^N.
+
+    a and m are reduced mod p^N and m is monic.  Every row keeps
+    s*a = p^e*r (mod m, p^N) exactly, with r of p-content one, so r is only
+    known mod p^(N-e) and a coefficient that vanishes there is dropped.  A
+    remainder is divided by the unit part of the divisor's leading
+    coefficient, and scaled by p wherever its own leading coefficient is
+    less divisible; the scaling lands on the older row, whose e is smaller.
+    """
+    q = p**N
+    r0, s0, e0 = m, [], 0
+    r1, s1, e1 = _zp_divmod(a, m, q)[1], [1], 0
+    while True:
+        r1 = _zp_reduce(r1, p ** (N - e1))
+        if not r1:
+            return None
+        c = pval(gcd(*r1), p)
+        r1, e1 = [x // p**c for x in r1], e1 + c
+        if len(r1) == 1:
+            u = pow(r1[0], -1, q)
+            return _zp_divmod([x * u for x in s1], m, q)[1], e1
+        db, v = len(r1) - 1, pval(r1[-1], p)
+        pv = p**v
+        u = pow(r1[-1] // pv, -1, q)
+        rem, quo, shift = list(r0), [0] * (len(r0) - db), 0
+        for i in range(len(rem) - 1, db - 1, -1):
+            lead = rem[i] % q
+            if not lead:
+                continue
+            t = pval(lead, p)
+            if t < v:
+                scale = p ** (v - t)
+                rem = [x * scale % q for x in rem[: i + 1]]
+                quo = [x * scale % q for x in quo]
+                shift += v - t
+                lead = rem[i]
+            quo[i - db] = qi = lead // pv * u % q
+            for j in range(db):
+                rem[i - db + j] -= qi * r1[j]
+        # p^shift*r0 - quo*r1 = rem, so this row has e = e1 before its content
+        scale = p ** (e1 - e0 + shift)
+        s2 = [x * scale for x in s0]
+        s2 += [0] * (len(s1) + len(quo) - 1 - len(s2))
+        for i, x in enumerate(_zp_mul(quo, s1)):
+            s2[i] -= x
+        r0, s0, e0 = r1, s1, e1
+        r1, s1 = rem[:db], _zp_reduce(s2, q)
 
 
 def _reduced_mod_p(a, p):

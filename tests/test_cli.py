@@ -211,6 +211,16 @@ def test_corpus_and_bench_sizes_capped_exit_2(capsys, argv):
         (("corpus", "--family", "tower", "--f0", "33", "--chain", "1:1:1"), "residue degree"),
         (("corpus", "--family", "tower", "--f0", "2", "--chain", "1:2:4,1:1:5"), "residue degree"),
         (("corpus", "--family", "tower", "--prime", "65537", "--chain", "1:1:1"), "16 bits"),
+        # multiplying out the representative: each took from 3 s to past 150 s
+        (("corpus", "--family", "tower", "--chain", ",".join(["1:2:1"] * 10)), "build work"),
+        (("corpus", "--family", "tower", "--f0", "2", "--chain", "1:32:2,1:16:1"), "build work"),
+        (("corpus", "--family", "tower", "--chain", "3:8:1,5:8:1,7:8:1,1:4:1"), "build work"),
+        (("corpus", "--family", "tower", "--prime", "65521", "--chain", ",".join(["1:2:1"] * 10)),
+         "build work"),
+        (("corpus", "--family", "tower", "--prime", "65521", "--chain", "15:1024:1"), "build work"),
+        (("corpus", "--family", "tower", "--chain", "1:20000:1"), "build work"),
+        # one recursion per level: 800 levels ran out of stack
+        (("corpus", "--family", "tower", "--chain", ",".join(["1:1:1"] * 800)), "32 levels"),
     ],
 )
 def test_corpus_build_work_capped_exit_2(capsys, argv, message):

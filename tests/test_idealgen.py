@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,11 @@ from montes import idealgen, types
 from montes.cli import parse_poly
 from montes.driver import disc_valuation, factor_prime
 from montes.errors import InvariantViolation, ZeroAtTheta
-from montes.corpus import tower_phi
+from montes.corpus import multi_branch, tower_phi
 from montes.idealgen import beta, compute_generators, p_adic_inverse, value_at_prime
 from montes.zpoly import IntPolynomial, X, content, gcd_z, is_squarefree, pval
 
-from .oracles import sylvester_resultant
+from .oracles import full_cofactor_euclid, sylvester_resultant
 from .test_zpoly import F12
 
 # At 2, the first prime's quotient needs the generators of the second and
@@ -259,15 +260,52 @@ small_poly = st.lists(st.integers(-9, 9), max_size=6).map(IntPolynomial)
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 13]), small_monic, small_monic, small_poly, small_poly,
-    st.integers(1, 3), st.integers(1, 3),
+    st.integers(1, 3), st.integers(1, 3), st.sampled_from([2, 3, 5]),
 )
-def test_p_adic_inverse_certifies_its_precision(p, g, h, r, s, j, k):
+def test_p_adic_inverse_matches_the_full_euclid(p, g, h, r, s, j, k, A):
     # f = g*h + p^j*r and a = g + p*s share the factor g mod p, but not over Q.
     f = g * h + r * p**j
     a = g + s * p
     assume(f.is_monic and f.degree == g.degree + h.degree and is_squarefree(f))
     assume(not a.is_zero and gcd_z(f, a).degree == 0)
-    y, w, N = p_adic_inverse(a, k, f, p)
+    y, w, N = p_adic_inverse(a, k, f, p, A)
+    # the Euclid with every cofactor in full certifies N and agrees on w
+    q = p**N
+    ak = [c % q for c in (a**k).divmod_monic(f)[1].coeffs]
+    y0, w0 = full_cofactor_euclid(ak, [c % q for c in f.coeffs], p, N)
+    err = (IntPolynomial(y0) * a**k - IntPolynomial([p**w])).divmod_monic(f)[1]
+    assert w0 == w and N >= 2 * w + 2
+    assert all(c % q == 0 for c in err.coeffs)
+    # y is its answer to the A digits past w that the caller reads
+    qa = p ** (w + A)
+    assert all((c - c0) % qa == 0 for c, c0 in zip_longest(y, y0, fillvalue=0))
     err = (IntPolynomial(y) * a**k - IntPolynomial([p**w])).divmod_monic(f)[1]
-    assert all(c % p**N == 0 for c in err.coeffs)
-    assert N >= 2 * w + 2
+    assert all(c % qa == 0 for c in err.coeffs)
+
+
+def test_generator_cofactors_stay_short(monkeypatch):
+    # multi-branch:1 at 13.  Every quotient-times-cofactor product of the
+    # Euclid stays below 13^((N-2)//2 + 2), the precision beta reads at the
+    # largest w that N certifies, and not at the 13^N of the remainders.
+    euclid, mul = idealgen._euclid, idealgen._zp_mul
+    runs, active = [], []
+
+    def traced_euclid(a, m, p, N, *rest):
+        runs.append((N, []))
+        active.append(runs[-1][1])
+        try:
+            return euclid(a, m, p, N, *rest)
+        finally:
+            active.pop()
+
+    def traced_mul(a, b):
+        if active:
+            active[-1].append(max(abs(x).bit_length() for x in (*a, *b)))
+        return mul(a, b)
+
+    monkeypatch.setattr(idealgen, "_euclid", traced_euclid)
+    monkeypatch.setattr(idealgen, "_zp_mul", traced_mul)
+    compute_generators(factor_prime(multi_branch(1), 13))
+    assert runs[-1][1]
+    for N, bits in runs:
+        assert max(bits, default=0) <= (13 ** ((N - 2) // 2 + 2)).bit_length()

@@ -8,10 +8,12 @@ coefficient and its residual value came from one expansion; the others
 before its residue fields changed from nested tuples to one absolute basis
 per level.  The digest of x^396 + 2 at 13, a paper-scale input whose cost is
 the mod-p factorization, was computed before F_p[x] products went through
-Kronecker substitution and powers through Barrett reduction.  A change that
-moves any of them changes what the program answers, or the rng stream that
-random towers consume.  The factor payloads are also checked to be the same
-for every --seed.
+Kronecker substitution and powers through Barrett reduction.  The digest of
+multi-branch:1 at 13 with --generators --disc, whose generator needs a
+p-adic inverse at 13^1452, was computed while the inverse's Euclid still
+kept every cofactor mod p^N.  A change that moves any of them changes what
+the program answers, or the rng stream that random towers consume.  The
+factor payloads are also checked to be the same for every --seed.
 """
 
 import hashlib
@@ -43,6 +45,7 @@ CASES = {
     "tower:5": (lambda: tower_phi(5), 2, FULL),
     "quartic-refine:13:10": (lambda: quartic_refine(13, 10), 13, FULL),
     "multi-branch:1 --disc": (lambda: multi_branch(1), 13, ("--disc",)),
+    "multi-branch:1": (lambda: multi_branch(1), 13, FULL),
     "x^396+2": (lambda: IntPolynomial([2] + [0] * 395 + [1]), 13, ()),
 }
 
@@ -56,6 +59,7 @@ PINNED = {
     "tower:5": "b508f2c5d05b570f1de041f058decc291433a82af285135daa12a3cb4db68f74",
     "quartic-refine:13:10": "975f2259420e47c85f33443dd9428927734a16446e714b05f0e7295ac69421d1",
     "multi-branch:1 --disc": "7b07ea43d4280c83cbc43452194d2cc83b82acbcb15fa9f39590936e06a6de17",
+    "multi-branch:1": "dd8424536bb405df644870e7072644bba2ca7ed3c66eb194d5490d040bdc143c",
     "x^396+2": "6d624540f5e86d905f2df9980fd2fc02e4aac66c3478a8859c620015b79f5426",
 }
 
