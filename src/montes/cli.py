@@ -39,8 +39,8 @@ from .zpoly import IntPolynomial
 # most _MAX_BITS bits, and a product or a power is refused before it is
 # computed when its degree would pass _MAX_DEGREE or its coefficients,
 # counted together, _MAX_BITS bits.  The bit limit is about 315,000 decimal
-# digits, under the 2,000,000 that main() lets an int print with, and it
-# keeps every accepted number, product or power under a second.
+# digits, under the 2,000,000 that _lift_digit_limit lets an int print with,
+# and it keeps every accepted number, product or power under a second.
 
 _MAX_DEPTH = 100
 _MAX_DEGREE = 100_000
@@ -158,8 +158,16 @@ def _parse_base(sc: _Scanner) -> IntPolynomial:
     sc.fail("expected 'x', a number, or '('")
 
 
+def _lift_digit_limit() -> None:
+    # Corpus members carry coefficients with thousands of digits; lift the
+    # interpreter's decimal conversion guard so they print and parse.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+
+
 def parse_poly(text: str) -> IntPolynomial:
     """Expand an expression in x with integer coefficients."""
+    _lift_digit_limit()
     sc = _Scanner(text)
     out = _parse_expr(sc)
     sc.skip_ws()
@@ -170,6 +178,7 @@ def parse_poly(text: str) -> IntPolynomial:
 
 def parse_coeffs(text: str) -> IntPolynomial:
     """One decimal coefficient per line, degree-descending."""
+    _lift_digit_limit()
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln]
     if not rows:
@@ -183,6 +192,7 @@ def parse_coeffs(text: str) -> IntPolynomial:
 
 def poly_to_expr(f: IntPolynomial) -> str:
     """Canonical printable form; parse_poly reads it back exactly."""
+    _lift_digit_limit()
     if f.is_zero:
         return "0"
     parts: List[str] = []
@@ -204,6 +214,7 @@ def poly_to_expr(f: IntPolynomial) -> str:
 
 
 def poly_to_coeff_lines(f: IntPolynomial) -> str:
+    _lift_digit_limit()
     cs = list(f.coeffs) + [0] * (f.degree + 1 - len(f.coeffs))
     return "\n".join(str(c) for c in reversed(cs))
 
@@ -450,10 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # Corpus members carry coefficients with thousands of digits; lift the
-    # interpreter's decimal conversion guard so they print and parse.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 2_000_000))
+    _lift_digit_limit()
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

@@ -44,6 +44,12 @@ loop at 5 to 8 coefficients, and Barrett overtook division at degree 12 to
 (zpoly, idealgen) keep the schoolbook _zp_mul: a Kronecker product sizes
 every slot by the widest coefficient, and their coefficients vary widely in
 size.
+
+_power is the package's one powering loop: Field.pow, ppowmod, the
+Frobenius steps, IntPolynomial powers and the generators' powers all pass it
+their product.  It runs left to right from the top bit of the exponent, so
+it never multiplies by 1 and never squares past the top bit, a squaring that
+would be the largest product of the power.
 """
 
 from __future__ import annotations
@@ -191,13 +197,9 @@ class Field:
     def pow(self, a, n: int):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out, base = self.one, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if self.D == 1:
+            return pow(a, n, self.p)
+        return _power(a, n, self.mul) if n else self.one
 
     def rand(self, rng: random.Random):
         if self.level == 0:
@@ -446,7 +448,8 @@ def ppowmod(K: Field, a: Sequence, n: int, m: Sequence) -> List:
         raise InputError(f"ppowmod needs an exponent >= 0, got {n}")
     if n == 0:
         return pmod(K, [K.one], m)
-    return _power(K, pmod(K, a, m), n, _reducer(K, m))
+    reduce = _reducer(K, m)
+    return _power(pmod(K, a, m), n, lambda x, y: reduce(pmul(K, x, y)))
 
 
 def _reducer(K: Field, m: Sequence):
@@ -459,13 +462,14 @@ def _reducer(K: Field, m: Sequence):
     return lambda r: pmod(K, r, m)
 
 
-def _power(K: Field, base: List, n: int, reduce) -> List:
-    """base^n for n >= 1, base reduced by the modulus that reduce reduces by."""
+def _power(base, n: int, mul):
+    """base^n for n >= 1, with mul(x, y) the product: left to right from the
+    top bit, so every product is a square or a product by base."""
     out = base
     for bit in bin(n)[3:]:
-        out = reduce(pmul(K, out, out))
+        out = mul(out, out)
         if bit == "1":
-            out = reduce(pmul(K, out, base))
+            out = mul(out, base)
     return out
 
 
@@ -512,7 +516,7 @@ def distinct_degree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
     h, reduce = pmod(K, x, f), _reducer(K, f)
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        h = _power(K, h, K.q, reduce)
+        h = _power(h, K.q, lambda a, b: reduce(pmul(K, a, b)))
         g = pgcd(K, psub(K, h, x), f)
         if len(g) > 1:
             out.append((g, d))

@@ -34,7 +34,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
-from .ffield import _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
+from .ffield import _power, _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
 from .types import Type, complete_branch, contact, value_at_prime
 from .zpoly import IntPolynomial, pval, vpoly
 
@@ -68,26 +68,14 @@ def _mul(x: FieldElement, y: FieldElement, f: IntPolynomial, p: int, A: int) -> 
     return _element(num, K, p, A)
 
 
-def _pow(x: FieldElement, m: int, f: IntPolynomial, p: int, A: int) -> FieldElement:
-    out = x
-    for bit in bin(m)[3:]:
-        out = _mul(out, out, f, p, A)
-        if bit == "1":
-            out = _mul(out, x, f, p, A)
-    return out
-
-
 def _mulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], q: int) -> List[int]:
     return _zp_divmod(_zp_mul(a, b), m, q)[1]
 
 
 def _powmod(a: Sequence[int], k: int, m: Sequence[int], q: int) -> List[int]:
-    out = [1]
-    for bit in bin(k)[2:]:
-        out = _mulmod(out, out, m, q)
-        if bit == "1":
-            out = _mulmod(out, a, m, q)
-    return out
+    if k == 0:
+        return [1]
+    return _power(_zp_divmod(a, m, q)[1], k, lambda x, y: _mulmod(x, y, m, q))
 
 
 def _euclid(
@@ -316,7 +304,8 @@ def compute_generators(result) -> List[FieldElement]:
             # beta_i has value at least -w*e, so its factors need p^(w+2)
             elem, A = betas[i], betas[i].p_power + 2
             for j, m in needs[i].items():
-                elem = _mul(elem, _pow(alphas[j], m, f, p, A), f, p, A)
+                power = _power(alphas[j], m, lambda x, y: _mul(x, y, f, p, A))
+                elem = _mul(elem, power, f, p, A)
             alphas[i] = _element(elem.num.coeffs, elem.p_power, p)
         pending = [i for i in pending if alphas[i] is None]
     return alphas

@@ -13,7 +13,7 @@ from .errors import (
     NonMonicModulus,
     ZeroPolynomial,
 )
-from .ffield import Field, _zp_mul, pgcd, ptrim
+from .ffield import Field, _power, _zp_mul, pgcd, ptrim
 
 
 class IntPolynomial:
@@ -80,14 +80,7 @@ class IntPolynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPolynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPolynomial.__mul__) if n else IntPolynomial((1,))
 
     def divmod_monic(self, phi):
         """Quotient and remainder by a monic divisor, exact over Z."""

@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -87,6 +91,23 @@ def test_expr_round_trip():
 def test_coeff_lines_round_trip():
     for f in (F12, IntPolynomial([0, -3, 0, 1]), IntPolynomial([7])):
         assert parse_coeffs(poly_to_coeff_lines(f)) == f
+
+
+def test_converters_lift_the_digit_limit_themselves():
+    # multi-branch:1 has coefficients of about 5000 digits, past the
+    # interpreter's default conversion limit; a fresh process that never
+    # runs main must still print and parse them.
+    code = (
+        "from montes.cli import parse_coeffs, parse_poly, poly_to_coeff_lines, poly_to_expr\n"
+        "from montes.corpus import multi_branch\n"
+        "f = multi_branch(1)\n"
+        "assert max(abs(c) for c in f.coeffs).bit_length() > 15000\n"
+        "assert parse_coeffs(poly_to_coeff_lines(f)) == f\n"
+        "assert parse_poly(poly_to_expr(f)) == f\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def run_cli(capsys, *argv):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from montes import ffield
+from montes import ffield, zpoly
 from montes.errors import DivisionByZero, InputError, NotInvertible
 from montes.zpoly import IntPolynomial
 from montes.ffield import (
@@ -28,6 +28,7 @@ from .oracles import TowerField, is_irreducible, naive_poly_mul, powmod_mod_p
 F2 = Field(2)
 F13 = Field(13)
 F8 = F2.extend([1, 1, 0, 1])  # y^3 + y + 1
+F64 = F8.extend([F8.one, F8.one, F8.one])  # y^2 + y + 1 over F_8
 
 
 def poly(K, ints):
@@ -96,7 +97,6 @@ def test_degree_one_extension_wraps():
 def test_second_extension_level():
     # y^2 + y + 1 has no root in F_8, so this is F_64
     assert is_irreducible(F8, poly(F8, [1, 1, 1]))
-    F64 = F8.extend(poly(F8, [1, 1, 1]))
     assert F64.q == 64
     z = F64.gen()
     assert F64.add(F64.add(F64.mul(z, z), z), F64.one) == F64.zero
@@ -268,6 +268,50 @@ def test_powmod_matches_pow():
     # 1 mod a constant modulus is 0, as every other power is
     assert ppowmod(F13, [2, 3], 0, [5]) == ppowmod(F13, [2, 3], 1, [5]) == []
     assert ppowmod(F8, poly(F8, [1, 1]), 0, [F8.y]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((F13, F8, F64)), st.integers(0, 2**32), st.integers(-20, 40))
+def test_field_pow_matches_repeated_multiplication(K, seed, n):
+    # zero too: 0^0 = 1, and a negative power of 0 has no value
+    for a in (K.zero, K.rand(random.Random(seed))):
+        if K.is_zero(a) and n < 0:
+            with pytest.raises(DivisionByZero):
+                K.pow(a, n)
+            continue
+        base = K.inv(a) if n < 0 else a
+        direct = K.one
+        for _ in range(abs(n)):
+            direct = K.mul(direct, base)
+        assert K.pow(a, n) == direct
+
+
+def test_powers_make_no_wasted_product(monkeypatch):
+    # Left to right from the top bit, x^n takes bit_length(n) - 1 squarings
+    # and popcount(n) - 1 products by x: no product by 1, and no squaring
+    # past the top bit, which would be the largest product of the power.
+    zp_mul, mul, products = zpoly._zp_mul, Field.mul, []
+
+    def counted_zp_mul(a, b):
+        products.append(len(a) + len(b) - 1)
+        return zp_mul(a, b)
+
+    def counted_mul(K, a, b):
+        products.append(0)
+        return mul(K, a, b)
+
+    monkeypatch.setattr(zpoly, "_zp_mul", counted_zp_mul)
+    monkeypatch.setattr(Field, "mul", counted_mul)
+    f, a = IntPolynomial([3, -1, 2]), F64.gen()
+    for n in range(1, 41):
+        work = n.bit_length() - 1 + bin(n).count("1") - 1
+        products.clear()
+        g = f**n
+        assert len(products) == work, n
+        assert max(products, default=0) <= len(g.coeffs), n
+        products.clear()
+        F64.pow(a, n)
+        assert len(products) == work, n
 
 
 def test_powmod_rejects_negative_exponent():

@@ -1,8 +1,8 @@
 """Source hygiene: no unused imports, no rational arithmetic in the
 package, no package code that only the tests call, no slot or dataclass
-field that nothing reads, package imports at the top of their modules, and
-no work at import time.  All six are read off the syntax tree, so no linter
-is needed."""
+field that nothing reads, package imports at the top of their modules, no
+work at import time, and one powering loop.  All seven are read off the
+syntax tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -142,6 +142,27 @@ def test_one_function_level_import_of_the_package():
             ):
                 found.append((path.name, None, [a.name for a in node.names]))
     assert found == [("cli.py", "idealgen", ["compute_generators"])]
+
+
+def test_one_powering_loop():
+    # Every power in the package goes through ffield._power, left to right
+    # from the top bit: a loop that reads the bits of an exponent, by bin()
+    # or by shifting it right, is a second square-and-multiply.
+    found = []
+    for path in PACKAGE:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (path.name, fn.name) == ("ffield.py", "_power"):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "bin"
+                ) or (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)):
+                    found.append(f"{path.name}:{node.lineno}: {fn.name}")
+    assert found == []
 
 
 def test_no_call_at_import_time():

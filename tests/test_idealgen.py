@@ -283,6 +283,25 @@ def test_p_adic_inverse_matches_the_full_euclid(p, g, h, r, s, j, k, A):
     assert all(c % qa == 0 for c in err.coeffs)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((2, 3, 13)),
+    st.integers(1, 40),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5),
+    st.lists(st.integers(-10**9, 10**9), min_size=0, max_size=9),
+    st.integers(0, 20),
+)
+def test_powmod_matches_repeated_multiplication(p, N, m, a, k):
+    # m is monic of degree >= 1, as every modulus of the generators is; a
+    # need not be reduced: _powmod reduces it mod (m, p^N) once
+    q = p**N
+    m = [c % q for c in m] + [1]
+    direct = [1]
+    for _ in range(k):
+        direct = idealgen._mulmod(direct, a, m, q)
+    assert idealgen._powmod(a, k, m, q) == direct
+
+
 def test_generator_cofactors_stay_short(monkeypatch):
     # multi-branch:1 at 13.  Every quotient-times-cofactor product of the
     # Euclid stays below 13^((N-2)//2 + 2), the precision beta reads at the

@@ -11,7 +11,10 @@ the mod-p factorization, was computed before F_p[x] products went through
 Kronecker substitution and powers through Barrett reduction.  The digest of
 multi-branch:1 at 13 with --generators --disc, whose generator needs a
 p-adic inverse at 13^1452, was computed while the inverse's Euclid still
-kept every cofactor mod p^N.  A change that moves any of them changes what
+kept every cofactor mod p^N.  The coefficients of A2, tower:6, tower:7 and
+multi-branch:3, in the degree-descending lines of `montes corpus --format
+coeffs`, were pinned while IntPolynomial powers still squared once past the
+top bit of the exponent.  A change that moves any of them changes what
 the program answers, or the rng stream that random towers consume.  The
 factor payloads are also checked to be the same for every --seed.
 """
@@ -34,7 +37,8 @@ G = IntPolynomial([5, 1, 0, 1])
 A2 = G**50 + IntPolynomial([2**89]) * G**25 + IntPolynomial([2**178])
 FULL = ("--generators", "--disc")
 
-# name -> (input, prime, flags); chains are (p, f0, levels h:e:f), tower seed 1
+# name -> (input, prime, flags); chains are (p, f0, levels h:e:f), tower seed 1.
+# Without a prime, the case pins the input's coefficients.
 CASES = {
     "chain-p3": ((3, 2, ((1, 2, 2), (1, 1, 2), (1, 3, 2))), None, ()),
     "chain-p2": ((2, 2, ((1, 2, 3), (1, 1, 2), (1, 3, 1), (1, 1, 2))), None, ()),
@@ -47,6 +51,11 @@ CASES = {
     "multi-branch:1 --disc": (lambda: multi_branch(1), 13, ("--disc",)),
     "multi-branch:1": (lambda: multi_branch(1), 13, FULL),
     "x^396+2": (lambda: IntPolynomial([2] + [0] * 395 + [1]), 13, ()),
+    # corpus members built by powers of IntPolynomial: their coefficients
+    "A2 coeffs": (lambda: A2, None, ()),
+    "tower:6 coeffs": (lambda: tower_phi(6), None, ()),
+    "tower:7 coeffs": (lambda: tower_phi(7), None, ()),
+    "multi-branch:3 coeffs": (lambda: multi_branch(3), None, ()),
 }
 
 PINNED = {
@@ -61,15 +70,21 @@ PINNED = {
     "multi-branch:1 --disc": "7b07ea43d4280c83cbc43452194d2cc83b82acbcb15fa9f39590936e06a6de17",
     "multi-branch:1": "dd8424536bb405df644870e7072644bba2ca7ed3c66eb194d5490d040bdc143c",
     "x^396+2": "6d624540f5e86d905f2df9980fd2fc02e4aac66c3478a8859c620015b79f5426",
+    "A2 coeffs": "400a52b374eecd5f30d46b306dcc1e1a68c421f692c5a7ecc077df9d373909d8",
+    "tower:6 coeffs": "238ff14661015b798555d95f98a1e4f07bfb8d4d5269e2a76f1c4f8cb610f5a3",
+    "tower:7 coeffs": "533c9dc52ab7f3a65a4422f61c2c07c94749843aa2f50549dcdb08a34db3bac1",
+    "multi-branch:3 coeffs": "6e0cfc0f1ecc8b71371f9fc1667b866ceeeb473ce9f0fb0a344d9da54f4ba91a",
 }
 
 
 def pinned_text(name, tmp_path, capsys):
     source, prime, flags = CASES[name]
-    if prime is None:
-        p, f0, chain = source
-        return "\n".join(str(c) for c in random_tower(p, f0, chain, 1).coeffs)
-    return factor_text(source(), prime, flags, 0, tmp_path, capsys)
+    if prime is not None:
+        return factor_text(source(), prime, flags, 0, tmp_path, capsys)
+    if callable(source):
+        return poly_to_coeff_lines(source())
+    p, f0, chain = source
+    return "\n".join(str(c) for c in random_tower(p, f0, chain, 1).coeffs)
 
 
 def factor_text(f, prime, flags, seed, tmp_path, capsys):

@@ -75,6 +75,14 @@ def test_divmod_monic(a, tail):
     assert r.degree < phi.degree
 
 
+@given(small_polys, st.integers(0, 40))
+def test_power_matches_repeated_multiplication(a, n):
+    direct = IntPolynomial([1])
+    for _ in range(n):
+        direct = direct * a
+    assert a**n == direct
+
+
 def test_divmod_requires_monic():
     with pytest.raises(NonMonicModulus):
         IntPolynomial([1, 1]).divmod_monic(IntPolynomial([1, 2]))
