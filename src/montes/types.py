@@ -299,6 +299,19 @@ class Type:
 # --- the value of a polynomial at a finished prime ---
 
 
+def _one_side(tipo: Type, f: IntPolynomial) -> Optional[Tuple[Side, object]]:
+    """The one side of the polygon of f along the pending modulus, with c
+    for y + c its residual made monic, or None when the modulus divides f."""
+    readings, cloud = tipo.newton_data(f)
+    if 0 not in cloud:
+        return None
+    sides = principal_sides(sorted(cloud.items()))
+    if len(sides) != 1:
+        raise InvariantViolation("polygon of f with more than one side")
+    res = tipo.residual_on_side(sides[0], readings, cloud)
+    return sides[0], tipo.order_data(tipo.order + 1)[0].div(res[0], res[1])
+
+
 def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
     """(H, c) with v(phi(theta)) = V + H and y + c the residual polynomial of
     the polygon of f, or None when the pending modulus phi divides f.
@@ -306,15 +319,13 @@ def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
     The polygon of f with respect to the pending modulus of a complete
     branch is one-sided of width one and integer slope -H.
     """
-    readings, cloud = tipo.newton_data(f)
-    if 0 not in cloud:
+    touch = _one_side(tipo, f)
+    if touch is None:
         return None
-    sides = principal_sides(sorted(cloud.items()))
-    if len(sides) != 1 or sides[0].width != 1 or sides[0].e != 1:
+    side, c = touch
+    if side.width != 1 or side.e != 1:
         raise InvariantViolation("complete branch with a non-unit polygon of f")
-    res = tipo.residual_on_side(sides[0], readings, cloud)
-    fld = tipo.order_data(tipo.order + 1)[0]
-    return sides[0].h, fld.div(res[0], res[1])
+    return side.h, c
 
 
 def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tuple[int, object]]]:
@@ -331,12 +342,10 @@ def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tu
         e = record.e
         T = Type.order_zero(p, tuple(c % p for c in record.dede_phi.coeffs), e)
         if e > 1:
-            readings, cloud = T.newton_data(f)
-            sides = principal_sides(sorted(cloud.items()))
-            if len(sides) != 1 or sides[0].h != 1 or sides[0].e != e:
+            touch = _one_side(T, f)
+            if touch is None or touch[0].h != 1 or touch[0].e != e:
                 raise InvariantViolation("shortcut record with an unexpected polygon")
-            res = T.residual_on_side(sides[0], readings, cloud)
-            T = T.extended(1, e, [T.F1.div(res[0], res[1]), T.F1.one], 1)
+            T = T.extended(1, e, [touch[1], T.F1.one], 1)
     record.complete = T, contact(T, f)
     return record.complete
 

@@ -5,11 +5,8 @@ holds the x^i coefficient) with trailing zeros trimmed, so the representation
 of a polynomial is canonical and hashable.
 """
 
-from math import gcd
-
 from .errors import (
     DegreeTooSmall,
-    DivisionByZero,
     NonMonicModulus,
     ZeroPolynomial,
 )
@@ -176,89 +173,55 @@ def phi_expand(P, phi):
     return out
 
 
-def content(f):
-    """Positive gcd of the coefficients (0 for the zero polynomial)."""
-    return gcd(*f.coeffs)
-
-
-def primitive_part(f):
-    c = content(f)
-    if c in (0, 1):
-        return f
-    return IntPolynomial(tuple(v // c for v in f.coeffs))
-
-
-def pseudo_divmod(A, B):
-    """Pseudo division: lc(B)^(degA-degB+1) * A = Q*B + R with deg R < deg B."""
-    if B.is_zero:
-        raise DivisionByZero("pseudo division by zero")
-    dA, dB = A.degree, B.degree
-    if dA < dB:
-        return IntPolynomial(), A
-    b = B.lc
-    rem = list(A.coeffs)
-    q = [0] * (dA - dB + 1)
-    for i in range(dA, dB - 1, -1):
-        # scale everything below degree i so the cancellation stays integral
-        c = rem[i]
-        for j in range(i):
-            rem[j] *= b
-        for j in range(len(q)):
-            q[j] *= b
-        q[i - dB] = c
-        for j in range(dB):
-            rem[i - dB + j] -= c * B.coeffs[j]
-        rem[i] = 0
-    return IntPolynomial(q), IntPolynomial(rem[:dB])
-
-
-def gcd_z(f, g):
-    """Primitive gcd over Z via the primitive pseudo-remainder sequence.
-    Adequate for small degrees; the squarefreeness screen avoids it on big
-    inputs."""
-    A, B = primitive_part(f), primitive_part(g)
-    if A.is_zero:
-        return B
-    while not B.is_zero:
-        _, R = pseudo_divmod(A, B)
-        A, B = B, primitive_part(R)
-    if A.is_zero:
-        return A
-    if A.lc < 0:
-        A = -A
-    c = gcd(content(f), content(g))
-    return A * c if c > 1 else A
-
-
-_SCREEN_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-)
-
-
 def is_squarefree(f):
     """True iff f has no repeated roots over Q.
 
-    A single prime q not dividing lc(f) with gcd(f mod q, f' mod q) = 1
-    certifies squarefreeness: a repeated factor g of f keeps its degree mod
-    q, and its reduction divides both.  A prime dividing lc(f) certifies
-    nothing, because f mod q loses degree (and with it the repeated factor),
-    so it is skipped.  Only when every screen prime fails do we fall back to
-    an exact gcd over Z.
+    F = lc^(n-1) f(x/lc) is monic with the roots of f times lc, so F is
+    squarefree iff f is, and the monic gcd G of F and F' lies in Z[x].  As F
+    is monic, G mod q keeps its degree and divides g = gcd(F mod q, F' mod q)
+    for every prime q.  Over q = 2, 3, 5, ...:
+    - g = 1 certifies that F is squarefree, and on squarefree input a small
+      prime nearly always gives it;
+    - otherwise the g of least degree so far are joined by Chinese
+      remaindering into a symmetric lift modulo their product, and once one
+      more prime leaves the lift unchanged, a lift that divides both F and
+      F' over Z certifies that F is not squarefree.
+    This is the small-primes modular gcd of von zur Gathen and Gerhard
+    (Modern Computer Algebra, chapter 6), stopped early.  Neither
+    certificate needs a coefficient bound.  The loop ends because g = G mod
+    q unless q divides the resultant of F/G and F'/G, a fixed nonzero
+    integer; past its prime factors every lift is G modulo the product, and
+    is G itself once the product passes twice the largest coefficient of G.
+    So the work follows the size of G, not a bound on it.
     """
     if f.is_zero:
         raise ZeroPolynomial("squarefreeness of the zero polynomial")
     if f.degree <= 1:
         return True
-    df = f.derivative()
-    for q in _SCREEN_PRIMES:
-        if f.lc % q:
-            K = Field(q)
-            fq = [c % q for c in f.coeffs]
-            dq = ptrim(K, [c % q for c in df.coeffs])
-            if len(pgcd(K, fq, dq)) == 1:
-                return True
-    return gcd_z(f, df).degree == 0
+    n, lc = f.degree, f.lc
+    F = IntPolynomial([c * lc ** (n - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
+    dF = F.derivative()
+    q, m, lift = 1, 1, None
+    while True:
+        q += 1
+        if not is_prime(q):
+            continue
+        K = Field(q)
+        g = pgcd(K, [c % q for c in F.coeffs], ptrim(K, [c % q for c in dF.coeffs]))
+        if len(g) == 1:
+            return True
+        if lift is None or len(g) < len(lift):
+            m, lift = 1, [0] * len(g)
+        elif len(g) > len(lift):
+            continue  # q divides the resultant: its g is too large
+        t, mq = pow(m, -1, q), m * q
+        new = [(a + m * ((b - a) * t % q)) % mq for a, b in zip(lift, g)]
+        new = [c - mq if 2 * c > mq else c for c in new]
+        if new == lift:
+            G = IntPolynomial(lift)
+            if F.divmod_monic(G)[1].is_zero and dF.divmod_monic(G)[1].is_zero:
+                return False
+        m, lift = mq, new
 
 
 # ---------------------------------------------------------------------------

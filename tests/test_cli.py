@@ -298,6 +298,19 @@ def test_factor_invalid_inputs_exit_2(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_factor_not_squarefree_bounded_work(capsys):
+    # A dense g^2 h of degree 360 with coefficients in [-99, 99] is refused
+    # after a gcd over a few small primes, not a gcd over Z; a square with a
+    # 31,700-bit root needs many small primes, but no prime of that size.
+    rng = random.Random(360)
+    g, h = (IntPolynomial([rng.randint(-99, 99) for _ in range(120)] + [1]) for _ in range(2))
+    for text in [poly_to_expr(g * g * h), "(x+3^20000)^2"]:
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "factor", "--prime", "2", "--poly", text)
+        assert code == 2 and "squarefree" in err
+        assert time.perf_counter() - t0 < 5.0
+
+
 def test_parse_limits():
     assert parse_poly("(" * 100 + "x" + ")" * 100) == X
     assert parse_poly("x^100000").degree == 100_000

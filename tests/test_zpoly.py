@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from montes.errors import NonMonicModulus, ZeroPolynomial
+from montes.ffield import Field, pgcd, ptrim
 from montes.zpoly import (
     IntPolynomial,
-    gcd_z,
     is_prime,
     is_squarefree,
     phi_expand,
@@ -155,15 +155,6 @@ def test_discriminant_pinned_degree12():
     assert pval(F12_DISC, 2) == 84
 
 
-def test_gcd_z():
-    a = IntPolynomial([-1, 0, 1])          # (x-1)(x+1)
-    b = IntPolynomial([1, 2, 1])           # (x+1)^2
-    assert gcd_z(a, b) == IntPolynomial([1, 1])
-    assert gcd_z(a, IntPolynomial([2])).degree == 0
-    c = IntPolynomial([2, 2]) * IntPolynomial([3, 0, 3])
-    assert gcd_z(c, IntPolynomial([6, 6])) == IntPolynomial([6, 6])
-
-
 def test_is_squarefree():
     assert is_squarefree(F12)
     assert is_squarefree(IntPolynomial([1, 0, 1]))
@@ -178,6 +169,54 @@ def test_is_squarefree():
     assert is_squarefree(IntPolynomial([1, 0, 2]))
     assert is_squarefree(IntPolynomial([1, 0, 1]))  # f' vanishes mod 2
     assert is_squarefree(IntPolynomial([1, 2]) * IntPolynomial([1, 6]))
+
+
+def _gcd_nontrivial_below_150(f):
+    """Whether gcd(f mod q, f' mod q) is nonconstant at every prime q < 150
+    not dividing lc(f): no small prime certifies that f is squarefree."""
+    df = f.derivative()
+    for q in filter(is_prime, range(150)):
+        if f.lc % q:
+            K = Field(q)
+            g = pgcd(K, [c % q for c in f.coeffs], ptrim(K, [c % q for c in df.coeffs]))
+            if len(g) == 1:
+                return False
+    return True
+
+
+def test_is_squarefree_past_the_small_primes():
+    # squarefree, but every prime below 150 divides its discriminant
+    f = IntPolynomial([1])
+    for i in range(150):
+        f = f * IntPolynomial([-i, 1])
+    assert _gcd_nontrivial_below_150(f)
+    assert is_squarefree(f)
+    # a dense non-monic g^2 h of degree 90: refused once the lift of the gcd
+    # by Chinese remaindering divides F and F'
+    rng = random.Random(15)
+    g, h = (IntPolynomial([rng.randint(-99, 99) for _ in range(30)] + [lead]) for lead in (7, -3))
+    f = g * g * h
+    assert f.degree == 90 and _gcd_nontrivial_below_150(f)
+    assert not is_squarefree(f)
+
+
+leading_coeffs = st.sampled_from([1, 1, -1, 2, 3, -6])
+low_coeffs = st.lists(st.integers(-20, 20), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    low_coeffs, low_coeffs, leading_coeffs, leading_coeffs,
+    st.sampled_from(["plain", "product", "square"]),
+)
+def test_is_squarefree_matches_the_discriminant(gc, hc, lg, lh, shape):
+    g, h = IntPolynomial(gc[:3] + [lg]), IntPolynomial(hc[:4] + [lh])
+    if shape == "plain":
+        f = IntPolynomial(gc + [lg])
+    else:
+        f = g * h * (g if shape == "square" else 1)
+    if f.degree >= 1:
+        assert is_squarefree(f) == (sylvester_discriminant(f.coeffs) != 0)
 
 
 def test_is_prime():
