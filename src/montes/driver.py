@@ -23,10 +23,10 @@ from .errors import (
     NotPrime,
     NotSquarefree,
 )
-from .ffield import Field, factor as ffactor, pmod
+from .ffield import Field, factor as ffactor
 from .polygon import cut_sides, principal_sides, region_index
 from .types import Type, value_at_prime
-from .zpoly import IntPolynomial, is_prime, is_squarefree
+from .zpoly import IntPolynomial, is_prime, is_squarefree, maximal_at
 
 
 @dataclass
@@ -71,21 +71,12 @@ def _initialize(
         raise NonMonic("polynomial must be monic")
     if not is_squarefree(f):
         raise NotSquarefree("polynomial must be squarefree over the integers")
-    F0 = Field(p)
-    fbar = [c % p for c in f.coeffs]
-    factors = ffactor(F0, fbar, rng)
-    lifts = [(psi, a, IntPolynomial(list(psi))) for psi, a in factors]
-    prod = IntPolynomial([1])
-    for _, a, phi in lifts:
-        prod = prod * phi ** a
-    diff = f - prod
-    mbar = [(c // p) % p for c in diff.coeffs]
-    while mbar and mbar[-1] == 0:
-        mbar.pop()
+    factors = ffactor(Field(p), [c % p for c in f.coeffs], rng)
     dedekind: List[PrimeRecord] = []
     branches: List[Type] = []
-    for psi, a, phi in lifts:
-        if a == 1 or pmod(F0, mbar, psi):
+    for psi, a in factors:
+        phi = IntPolynomial(psi)
+        if a == 1 or maximal_at(f, phi, p):
             dedekind.append(PrimeRecord(e=a, f=len(psi) - 1, kind="dedekind", dede_phi=phi))
         else:
             branches.append(Type.order_zero(p, psi, a))

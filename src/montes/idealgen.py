@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import _power, _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
 from .types import Type, complete_branch, contact, value_at_prime
-from .zpoly import IntPolynomial, pval, vpoly
+from .zpoly import IntPolynomial, maximal_at, pval
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,11 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     prime, except a prime that branches off a steeper side of the same
     polygon, where it is negative."""
     if record.kind == "dedekind":
+        # phi(theta) is a unit at every other prime.  At its own it has value
+        # 1 when v_p(f mod phi) = 1, as on every record with e > 1; otherwise
+        # e = 1 and the value is at least 2, so phi + p has value 1
         phi = record.dede_phi
-        if record.e == 1:
-            rem = f.divmod_monic(phi)[1]
-            if not rem.is_zero and vpoly(rem, p) == 1:
-                return _element(phi.coeffs, 0, p)
-            return _element((phi + IntPolynomial((p,))).coeffs, 0, p)
-        # v(phi(theta)) = 1 exactly on the slope -1/e side, 0 elsewhere
-        return _element(phi.coeffs, 0, p)
+        return _element((phi if maximal_at(f, phi, p) else phi + IntPolynomial((p,))).coeffs, 0, p)
 
     tipo = record.tipo
     W = tipo.order + 1
@@ -243,8 +240,6 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
         if pi is None:
             raise InvariantViolation("no liftable uniformizer target")
         d = tipo.phi
-        if d == f:
-            return _element(pi.divmod_monic(f)[1].coeffs, w, p)
         quo, rem = f.divmod_monic(d)
         if not rem.is_zero:
             raise InvariantViolation("factor record whose modulus does not divide f")

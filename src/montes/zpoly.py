@@ -10,7 +10,7 @@ from .errors import (
     NonMonicModulus,
     ZeroPolynomial,
 )
-from .ffield import Field, _power, _zp_mul, pgcd, ptrim
+from .ffield import Field, _power, _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce, pgcd, ptrim
 
 
 class IntPolynomial:
@@ -156,6 +156,16 @@ def vpoly(f, p):
     if f.is_zero:
         raise ZeroPolynomial("v_1 of the zero polynomial requested")
     return min(pval(c, p) for c in f.coeffs if c)
+
+
+def maximal_at(f, phi, p):
+    """True iff f mod phi is nonzero mod p^2, for a monic phi whose reduction
+    divides f mod p.  Then f mod phi vanishes mod p, so this says that v_p(f
+    mod phi) = 1: the first point of the order-1 polygon of f along phi, and
+    Dedekind's criterion at phi.  Monic division commutes with reduction, so
+    the remainder is taken mod p^2 throughout."""
+    q = p * p
+    return bool(_zp_divmod(_zp_reduce(f.coeffs, q), _zp_divisor(phi.coeffs, q), q)[1])
 
 
 def phi_expand(P, phi):

@@ -239,12 +239,14 @@ def lattice_index_oracle(vertices, hcut=0):
     return count
 
 
-def dedekind_oracle(f, p):
-    """Indexwise test at p by Dedekind's criterion, written from scratch.
+def dedekind_verdicts(f, p):
+    """Dedekind's criterion at p, factor by factor, written from scratch.
 
-    Returns (index_is_zero, primes) where primes is the list of (e, f) pairs
-    when the criterion certifies the index is zero, else None.  Uses its own
-    brute-force factorization mod p, so it shares nothing with the driver.
+    Returns [(factor, multiplicity, regular)] over the monic irreducible
+    factors of f mod p, as ascending coefficient tuples in 0..p-1.  With
+    f = prod lift^mult + p*M, a factor is regular unless it is repeated and
+    divides M mod p.  Uses its own brute-force factorization mod p and the
+    product over Z, so it shares nothing with the driver.
     """
     fb = tuple(c % p for c in f.coeffs)
     factors = _factor_mod_p_bruteforce(fb, p)
@@ -258,14 +260,20 @@ def dedekind_oracle(f, p):
         if c % p:
             raise NotApplicable("reduction mismatch")  # unreachable
         m_coeffs.append(c // p)
-    mbar = tuple(c % p for c in m_coeffs)
-    index_zero = True
-    primes = []
-    for lift, (fac, mult) in zip(lifts, factors):
-        if mult > 1 and _divides_mod_p(fac, mbar, p):
-            index_zero = False
-        primes.append((mult, len(fac) - 1))
-    return index_zero, (primes if index_zero else None)
+    # trimmed, so that M = 0 mod p reads as the zero polynomial
+    mbar = _reduced_mod_p(m_coeffs, p)
+    return [(fac, mult, not (mult > 1 and _divides_mod_p(fac, mbar, p))) for fac, mult in factors]
+
+
+def dedekind_oracle(f, p):
+    """Indexwise test at p by Dedekind's criterion.
+
+    Returns (index_is_zero, primes) where primes is the list of (e, f) pairs
+    when the criterion certifies the index is zero, else None.
+    """
+    verdicts = dedekind_verdicts(f, p)
+    index_zero = all(regular for _, _, regular in verdicts)
+    return index_zero, ([(mult, len(fac) - 1) for fac, mult, _ in verdicts] if index_zero else None)
 
 
 def _poly_mod_mod_p(a, m, p):

@@ -123,6 +123,18 @@ def test_factor_text_output(capsys):
     assert "e=2 f=1" in out
 
 
+def test_factor_generators_text_output(capsys):
+    code, out, err = run_cli(
+        capsys, "factor", "--prime", "2", "--poly", "(x^2+8)*(x^2+72)*(x+1)", "--generators"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[-3:] == [
+        "  e=1 f=1 generator=x-1",
+        "  e=2 f=1 generator=(171*x^4+x^3-146*x^2+72*x+176)/2^7",
+        "  e=2 f=1 generator=(7*x^4+x^3+50*x^2+8*x+80)/2^7",
+    ]
+
+
 def test_factor_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "factor", "--prime", "2", "--poly", "x^2+1", "--json", "--disc"
@@ -424,12 +436,15 @@ def test_corpus_coeffs_format(capsys):
 
 
 def test_bench_csv(capsys):
-    code, out, _ = run_cli(capsys, "bench", "tower:1", "tower:2", "--repeat", "2")
+    code, out, _ = run_cli(
+        capsys, "bench", "tower:1", "tower:2", "quartic-refine:7:3", "--repeat", "2"
+    )
     lines = out.strip().splitlines()
     assert lines[0] == "name,degree,prime,index,ms"
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].startswith("tower:1,2,2,2,")
     assert lines[2].startswith("tower:2,4,2,16,")
+    assert lines[3].startswith("quartic-refine:7:3,4,7,6,")
 
 
 def test_bench_empty_set(capsys):

@@ -1,17 +1,18 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from montes.corpus import tower_phi
-from montes.driver import disc_valuation, factor_prime
+from montes.driver import _initialize, disc_valuation, factor_prime
 from montes.errors import DegreeTooSmall, NonMonic, NotPrime, NotSquarefree
 from montes.zpoly import IntPolynomial, X, is_squarefree, pval
 
 from .oracles import (
     NotApplicable,
     dedekind_oracle,
+    dedekind_verdicts,
     refinement_equivalence_check,
     refinement_instance,
     sylvester_discriminant,
@@ -128,6 +129,61 @@ def test_random_batch_invariants():
         assert zero == (r.index == 0)
         if zero:
             assert sorted(primes) == ef(r)
+
+
+@st.composite
+def repeated_factor_case(draw):
+    """(f, p) with f = g^k h + p^j r squarefree of degree at most 8, so that
+    f mod p has a repeated factor that p^j r may or may not make regular."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def monic(lo, hi):
+        deg = draw(st.integers(lo, hi))
+        return IntPolynomial(draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg)) + [1])
+
+    base = monic(1, 2) ** draw(st.integers(2, 3)) * monic(0, 2)
+    tail = draw(st.lists(st.integers(-20, 20), min_size=base.degree, max_size=base.degree))
+    f = base + IntPolynomial(tail) * p ** draw(st.integers(1, 3))
+    assume(is_squarefree(f))
+    return f, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_factor_case())
+@example((IntPolynomial([4, 0, 1]), 2))  # M = 2 vanishes mod 2: a branch
+def test_initialize_classifies_factors_as_the_textbook_criterion(case):
+    # The driver reads the criterion off one remainder mod p^2; the oracle
+    # multiplies the factorization out over Z and divides M mod p.
+    f, p = case
+    records, branches = _initialize(f, p, random.Random(0))
+    got = sorted(
+        [(r.dede_phi.coeffs, r.e, True) for r in records]
+        + [(t.phi.coeffs, t.mult, False) for t in branches]
+    )
+    assert got == sorted(dedekind_verdicts(f, p))
+
+
+def test_initialize_multiplies_nothing_over_z(monkeypatch):
+    # g^2 + 2x at 2 is a Dedekind prime with e = 2, and x^3 + 8 a branch; the
+    # criterion needs no product of the factorization over Z.
+    g = IntPolynomial([1, 1, 1])
+    f = (g**2 + IntPolynomial([0, 2])) * (X**3 + IntPolynomial([8]))
+    products = []
+    real_mul, real_pow = IntPolynomial.__mul__, IntPolynomial.__pow__
+
+    def counted_mul(a, b):
+        products.append("*")
+        return real_mul(a, b)
+
+    def counted_pow(a, n):
+        products.append("**")
+        return real_pow(a, n)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(IntPolynomial, "__pow__", counted_pow)
+    records, branches = _initialize(f, 2, random.Random(0))
+    assert [(r.e, r.f) for r in records] == [(2, 2)] and len(branches) == 1
+    assert products == []
 
 
 def test_refinement_matches_basic_mode():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from montes import idealgen, types
 from montes.cli import parse_poly
 from montes.driver import disc_valuation, factor_prime
-from montes.errors import InvariantViolation, ZeroAtTheta
+from montes.errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from montes.corpus import multi_branch, tower_phi
 from montes.idealgen import beta, compute_generators, p_adic_inverse, value_at_prime
 from montes.zpoly import IntPolynomial, X, is_squarefree, pval
@@ -250,6 +250,31 @@ def test_tower_level_four_generator():
     assert valuation_grid(r, [alpha]) == identity_grid(1)
     G, k = alpha.num, alpha.p_power
     assert pval(sylvester_resultant(f.coeffs, G.coeffs), 2) == k * f.degree + r.primes[0].f
+
+
+@pytest.mark.parametrize("text, p", [("(x^2+8)*(x^2+72)", 2), ("(x^3+9)*(x^3+36)", 3)])
+def test_factor_uniformizer_past_an_unliftable_target(text, p, monkeypatch):
+    # The first factor's modulus divides f, and the first target of its
+    # uniformizer search cannot be lifted, so the search moves on.
+    f = parse_poly(text)
+    misses = []
+    real = types.Type.lift_simple
+
+    def counted_lift(t, u, R):
+        try:
+            return real(t, u, R)
+        except UnliftableTarget:
+            misses.append(u)
+            raise
+
+    monkeypatch.setattr(types.Type, "lift_simple", counted_lift)
+    r = factor_prime(f, p)
+    alphas = compute_generators(r)
+    assert r.primes[0].kind == "factor" and misses
+    assert valuation_grid(r, alphas) == identity_grid(len(r.primes))
+    for rec, a in zip(r.primes, alphas):
+        G, k = a.num, a.p_power
+        assert pval(sylvester_resultant(f.coeffs, G.coeffs), p) == k * f.degree + rec.f
 
 
 small_monic = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(

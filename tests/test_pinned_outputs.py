@@ -9,6 +9,8 @@ before its residue fields changed from nested tuples to one absolute basis
 per level.  The digest of x^396 + 2 at 13, a paper-scale input whose cost is
 the mod-p factorization, was computed before F_p[x] products went through
 Kronecker substitution and powers through Barrett reduction.  The digest of
+x^7410 - 14 at 3, 93 factors mod 3 each cubed, was computed while Dedekind's
+criterion still multiplied the factorization out over Z.  The digest of
 multi-branch:1 at 13 with --generators --disc, whose generator needs a
 p-adic inverse at 13^1452, was computed while the inverse's Euclid still
 kept every cofactor mod p^N.  The coefficients of A2, tower:6, tower:7 and
@@ -51,6 +53,7 @@ CASES = {
     "multi-branch:1 --disc": (lambda: multi_branch(1), 13, ("--disc",)),
     "multi-branch:1": (lambda: multi_branch(1), 13, FULL),
     "x^396+2": (lambda: IntPolynomial([2] + [0] * 395 + [1]), 13, ()),
+    "x^7410-14": (lambda: IntPolynomial([-14] + [0] * 7409 + [1]), 3, ()),
     # corpus members built by powers of IntPolynomial: their coefficients
     "A2 coeffs": (lambda: A2, None, ()),
     "tower:6 coeffs": (lambda: tower_phi(6), None, ()),
@@ -70,6 +73,7 @@ PINNED = {
     "multi-branch:1 --disc": "7b07ea43d4280c83cbc43452194d2cc83b82acbcb15fa9f39590936e06a6de17",
     "multi-branch:1": "dd8424536bb405df644870e7072644bba2ca7ed3c66eb194d5490d040bdc143c",
     "x^396+2": "6d624540f5e86d905f2df9980fd2fc02e4aac66c3478a8859c620015b79f5426",
+    "x^7410-14": "7ad50c509a767310d0bcfef029586fdb098f6f29c23bf6a722724baed96852b1",
     "A2 coeffs": "400a52b374eecd5f30d46b306dcc1e1a68c421f692c5a7ecc077df9d373909d8",
     "tower:6 coeffs": "238ff14661015b798555d95f98a1e4f07bfb8d4d5269e2a76f1c4f8cb610f5a3",
     "tower:7 coeffs": "533c9dc52ab7f3a65a4422f61c2c07c94749843aa2f50549dcdb08a34db3bac1",
