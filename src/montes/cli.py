@@ -237,21 +237,24 @@ def _read_poly(args) -> IntPolynomial:
     return parse_poly(text)
 
 
-def _run(f: IntPolynomial, p: int, seed: int, generators: bool) -> Tuple[RunResult, list]:
-    """The run of factor_prime, with its generators when they are asked for.
+def _run(
+    f: IntPolynomial, p: int, seed: int, generators: bool, disc: bool
+) -> Tuple[RunResult, list, Optional[int]]:
+    """The run of factor_prime, with its generators and v_p(disc f) when they
+    are asked for.
 
-    idealgen is imported here, so that a run without them never loads it.
+    idealgen is imported here, so that a run without generators never loads it.
     """
     r = factor_prime(f, p, seed=seed)
-    if not generators:
-        return r, [None] * len(r.primes)
-    from .idealgen import compute_generators
+    gens = [None] * len(r.primes)
+    if generators:
+        from .idealgen import compute_generators
 
-    return r, compute_generators(r)
+        gens = compute_generators(r)
+    return r, gens, disc_valuation(r) if disc else None
 
 
-def _result_payload(r, gens: list, want_disc: bool, timings: dict) -> dict:
-    disc_v = disc_valuation(r) if want_disc else None
+def _result_payload(r, gens: list, disc_v: Optional[int], timings: dict) -> dict:
     primes = []
     for rec, alpha in zip(r.primes, gens):
         gen = None
@@ -294,14 +297,14 @@ def cmd_factor(args) -> int:
     f = _read_poly(args)
     t1 = time.perf_counter()
     _check_prime_size(args.prime)
-    r, gens = _run(f, args.prime, args.seed, args.generators)
+    r, gens, disc_v = _run(f, args.prime, args.seed, args.generators, args.disc)
     t2 = time.perf_counter()
     timings = {
         "parse": round((t1 - t0) * 1000.0, 3),
         "factor": round((t2 - t1) * 1000.0, 3),
         "total": round((t2 - t0) * 1000.0, 3),
     }
-    payload = _result_payload(r, gens, args.disc, timings)
+    payload = _result_payload(r, gens, disc_v, timings)
     if args.json:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -374,6 +377,8 @@ def _bench_poly(spec: str) -> Tuple[str, IntPolynomial, int]:
         nums = [int(b) for b in bits]
     except ValueError:
         raise InputError(f"bench spec {spec!r}: parameters must be integers") from None
+    if name in ("tower", "multi-branch") and len(nums) > 1:
+        raise InputError(f"bench spec {name}:<n>")
     if name == "tower":
         level = nums[0] if nums else 1
         return spec, tower_phi(level), 2
@@ -400,7 +405,7 @@ def cmd_bench(args) -> int:
         index = None
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            r, _ = _run(f, p, args.seed, args.generators)
+            r = _run(f, p, args.seed, args.generators, False)[0]
             took.append((time.perf_counter() - t0) * 1000.0)
             index = r.index
         ms = sum(took) / len(took)

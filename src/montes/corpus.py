@@ -206,7 +206,7 @@ def _random_irreducible(
 ) -> List:
     while True:
         psi = [fld.rand(rng) for _ in range(deg)] + [fld.one]
-        if nonzero_constant and fld.is_zero(psi[0]):
+        if nonzero_constant and not psi[0]:
             continue
         parts = factor(fld, psi, rng)
         if len(parts) == 1 and parts[0][1] == 1 and len(parts[0][0]) == deg + 1:

@@ -16,13 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import (
-    DegreeTooSmall,
-    InvariantViolation,
-    NonMonic,
-    NotPrime,
-    NotSquarefree,
-)
+from .errors import InputError, InvariantViolation
 from .ffield import Field, factor as ffactor
 from .polygon import cut_sides, principal_sides, region_index
 from .types import Type, value_at_prime
@@ -64,13 +58,13 @@ def _initialize(
     f: IntPolynomial, p: int, rng: random.Random
 ) -> Tuple[List[PrimeRecord], List[Type]]:
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if f.degree < 1:
-        raise DegreeTooSmall("polynomial must have degree at least 1")
+        raise InputError("polynomial must have degree at least 1")
     if not f.is_monic:
-        raise NonMonic("polynomial must be monic")
+        raise InputError("polynomial must be monic")
     if not is_squarefree(f):
-        raise NotSquarefree("polynomial must be squarefree over the integers")
+        raise InputError("polynomial must be squarefree over the integers")
     factors = ffactor(Field(p), [c % p for c in f.coeffs], rng)
     dedekind: List[PrimeRecord] = []
     branches: List[Type] = []
@@ -114,7 +108,7 @@ def _run_branch(run: RunResult, branches: List[Type], rng: random.Random, refine
             if sum((len(g) - 1) * m for g, m in fct) != side.steps:
                 raise InvariantViolation("residual factorization lost degree")
             for psi, om in fct:
-                if fld.is_zero(psi[0]):
+                if not psi[0]:
                     raise InvariantViolation("residual factor vanishes at zero")
                 if om == 1:
                     ct = t.extended(side.h, side.e, psi, 1)

@@ -1,8 +1,12 @@
-"""Error taxonomy for the whole package.
+"""Error taxonomy for the whole package: one class per CLI exit code.
 
-Every error raised on bad input derives from InputError (CLI exit code 2).
-InvariantViolation means an internal consistency check failed and the result
-cannot be trusted (CLI exit code 3).
+InputError (exit code 2) refuses what the caller handed in, where it
+arrives: the CLI's arguments, a corpus family's parameters, and driver.py's
+checks that f is monic, squarefree and of degree >= 1 and that p is prime.
+InvariantViolation (exit code 3) means an identity the theory proves failed,
+or an arithmetic routine was called outside its precondition: either way a
+bug, and the result cannot be trusted.  The other classes are kept only
+where some caller tells them apart.
 """
 
 
@@ -14,54 +18,6 @@ class InputError(MontesError):
     """Invalid input supplied by the caller."""
 
 
-class ZeroPolynomial(InputError):
-    pass
-
-
-class NonMonic(InputError):
-    pass
-
-
-class NonMonicModulus(InputError):
-    pass
-
-
-class DegreeTooSmall(InputError):
-    pass
-
-
-class ForbiddenResidualY(InputError):
-    pass
-
-
-class DivisionByZero(InputError):
-    pass
-
-
-class NotInvertible(InputError):
-    pass
-
-
-class NoPoints(InputError):
-    pass
-
-
-class UnliftableTarget(InputError):
-    pass
-
-
-class NotSquarefree(InputError):
-    pass
-
-
-class NotPrime(InputError):
-    pass
-
-
-class ZeroAtTheta(InputError):
-    pass
-
-
 class ParseError(InputError):
     """Polynomial expression rejected; carries the byte offset."""
 
@@ -70,5 +26,13 @@ class ParseError(InputError):
         self.offset = offset
 
 
+class ZeroAtTheta(InputError):
+    """The polynomial handed to value_at_prime vanishes at the prime."""
+
+
 class InvariantViolation(MontesError):
     """Internal invariant failed; the computation state is inconsistent."""
+
+
+class UnliftableTarget(InvariantViolation):
+    """A residual target with no lift; beta's uniformizer search retries."""

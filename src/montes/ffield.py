@@ -60,7 +60,7 @@ from array import array
 from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DivisionByZero, InputError, InvariantViolation, NotInvertible
+from .errors import InvariantViolation
 
 _KRONECKER = 8  # the shorter factor's length from which _fp_mul packs
 _BARRETT = 16  # the modulus degree from which ppowmod reduces by Barrett
@@ -95,7 +95,7 @@ class Field:
         """
         psi = ptrim(self, list(psi))
         if len(psi) < 2 or psi[-1] != self.one:
-            raise NotInvertible("extension modulus must be monic of degree >= 1")
+            raise InvariantViolation("extension modulus must be monic of degree >= 1")
         d = len(psi) - 1
         ext = Field(self.p, self, psi, d) if self.D == 1 else self._primitive(psi, d)
         ext.y = ext.embed([0, 1] if d > 1 else [self.neg(psi[0])])
@@ -143,16 +143,6 @@ class Field:
         x = a if self._to is None else self._apply(self._to, a)
         return _unpack(x, self.w * self.subfield.D, self.deg)
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def gen(self):
-        """The class of y, a root of psi."""
-        return self.y
-
     def add(self, a, b):
         return self._fold(a + b)
 
@@ -176,8 +166,8 @@ class Field:
         return self._reduce(_fp_mul(_unpack(a, self.w), _unpack(b, self.w), self.p))
 
     def inv(self, a):
-        if self.is_zero(a):
-            raise DivisionByZero("inverse of zero")
+        if not a:
+            raise InvariantViolation("inverse of zero")
         p = self.p
         if self.D == 1:
             return pow(a, -1, p)
@@ -187,12 +177,9 @@ class Field:
             s = zip_longest(s0, _zp_mul(quo, s1), fillvalue=0)
             r0, s0, r1, s1 = r1, s1, rem, _zp_reduce([x - y for x, y in s], p)
         if len(r0) != 1:
-            raise NotInvertible("element shares a factor with the modulus")
+            raise InvariantViolation("element shares a factor with the modulus")
         scale = pow(r0[0], -1, p)
         return self._reduce([c * scale for c in s0])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
         if n < 0:
@@ -339,7 +326,7 @@ def _fp_reducer(m: List[int], p: int, code: str):
 def _zp_divisor(b: Sequence[int], p: int) -> List[int]:
     b = _zp_reduce(b, p)
     if not b:
-        raise DivisionByZero("polynomial division by zero")
+        raise InvariantViolation("polynomial division by zero")
     return b
 
 
@@ -378,7 +365,7 @@ def _gather(K: Field, flat: List[int]) -> List:
 
 
 def ptrim(K: Field, a: List) -> List:
-    while a and K.is_zero(a[-1]):
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -407,7 +394,7 @@ def pdivmod(K: Field, a: Sequence, b: Sequence) -> Tuple[List, List]:
         return _zp_divmod(a, _zp_divisor(b, K.p), K.p)
     b = ptrim(K, list(b))
     if not b:
-        raise DivisionByZero("polynomial division by zero")
+        raise InvariantViolation("polynomial division by zero")
     db, S = len(b) - 1, 2 * K.D - 1
     if len(a) <= db:
         return [], ptrim(K, list(a))
@@ -445,7 +432,7 @@ def pgcd(K: Field, a: Sequence, b: Sequence) -> List:
 
 def ppowmod(K: Field, a: Sequence, n: int, m: Sequence) -> List:
     if n < 0:
-        raise InputError(f"ppowmod needs an exponent >= 0, got {n}")
+        raise InvariantViolation(f"ppowmod needs an exponent >= 0, got {n}")
     if n == 0:
         return pmod(K, [K.one], m)
     reduce = _reducer(K, m)
@@ -483,8 +470,8 @@ def pth_root(K: Field, f: Sequence) -> List:
     for i, c in enumerate(f):
         if i % K.p == 0:
             out.append(K.pow(c, K.q // K.p))
-        elif not K.is_zero(c):
-            raise NotInvertible("not a polynomial in y^p")
+        elif c:
+            raise InvariantViolation("not a polynomial in y^p")
     return ptrim(K, out)
 
 
@@ -492,7 +479,7 @@ def squarefree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
     """Split monic f into coprime squarefree parts: f = prod g^m, m distinct."""
     parts, e, f = [], 1, list(f)
     while len(f) > 1:
-        df = ptrim(K, [K.mul(K.from_int(i), f[i]) for i in range(1, len(f))])
+        df = ptrim(K, [K.mul(i % K.p, f[i]) for i in range(1, len(f))])
         if not df:
             f = pth_root(K, f)
             e *= K.p
@@ -567,7 +554,7 @@ def factor(K: Field, f: Sequence, rng: random.Random) -> List[Tuple[List, int]]:
     """Factor nonzero f into monic irreducibles, sorted by (degree, key)."""
     f = pmonic(K, ptrim(K, list(f)))
     if not f:
-        raise DivisionByZero("factoring the zero polynomial")
+        raise InvariantViolation("factoring the zero polynomial")
     out = []
     for g, m in squarefree_parts(K, f):
         for h, d in distinct_degree_parts(K, g):

@@ -11,7 +11,7 @@ lower convex hull.
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import InvariantViolation, NoPoints
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def lower_hull(points):
     """
     pts = sorted(set(points))
     if not pts:
-        raise NoPoints("lower hull of an empty point set")
+        raise InvariantViolation("lower hull of an empty point set")
     hull = []
     for p in pts:
         while len(hull) >= 2:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ForbiddenResidualY, InvariantViolation, UnliftableTarget, ZeroAtTheta
+from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import Field
 from .polygon import Side, principal_sides
 from .zpoly import IntPolynomial, phi_expand, vpoly
@@ -68,7 +68,7 @@ class Level:
         self.up_V = e * self.f * (e * V + h)
         if (self.ell * self.up_V) % e != 0:
             raise InvariantViolation("twist exponent is not integral")
-        self.up_w = self.fld.pow(self.fld.gen(), -(self.ell * self.up_V) // e)
+        self.up_w = self.fld.pow(self.fld.y, -(self.ell * self.up_V) // e)
 
 
 class Type:
@@ -172,7 +172,7 @@ class Type:
         for j, r in terms:
             cs[(j - s) // lvl.e] = self._twisted(j, r, R - 1)
         fld = lvl.fld
-        return fld.mul(fld.pow(fld.gen(), (s - lvl.ell * u) // lvl.e), fld.embed(cs))
+        return fld.mul(fld.pow(fld.y, (s - lvl.ell * u) // lvl.e), fld.embed(cs))
 
     def _twisted(self, j: int, reading: Reading, R: int):
         """w_R^j times the residual value: the coefficient at abscissa j."""
@@ -208,7 +208,7 @@ class Type:
                 out.append(fld.zero)
             else:
                 out.append(self._twisted(j, readings[j], W))
-        if fld.is_zero(out[0]) or fld.is_zero(out[-1]):
+        if not out[0] or not out[-1]:
             raise InvariantViolation("side residual lost a vertex coefficient")
         return out
 
@@ -220,19 +220,18 @@ class Type:
         if u < 0:
             raise UnliftableTarget("negative target value")
         if R == 1:
-            if self.F1.is_zero(rho):
+            if not rho:
                 raise UnliftableTarget("zero residual target")
             return IntPolynomial(self.F1.coords(rho)) * self.p ** u
         lvl = self.levels[R - 2]
         below, w_below, _ = self.order_data(R - 1)
         fld = lvl.fld
-        z = fld.gen()
         s = (lvl.ell * u) % lvl.e
         t = (s - lvl.ell * u) // lvl.e
-        eta = fld.mul(fld.pow(z, -t), rho)
+        eta = fld.mul(fld.pow(fld.y, -t), rho)
         Q = IntPolynomial([])
         for j, etaj in enumerate(fld.coords(eta)):
-            if below.is_zero(etaj):
+            if not etaj:
                 continue
             jj = s + j * lvl.e
             u_jj = (u - lvl.h * jj) // lvl.e
@@ -254,7 +253,7 @@ class Type:
         lvl = self.levels[R - 2]
         s = (lvl.ell * u) % lvl.e
         t = (s - lvl.ell * u) // lvl.e
-        return self.lift(fld.pow(fld.gen(), t), u, R)
+        return self.lift(fld.pow(fld.y, t), u, R)
 
     # --- representatives ---
 
@@ -268,12 +267,12 @@ class Type:
         fpsi = len(psi) - 1
         if fpsi < 1 or psi[-1] != fld.one:
             raise InvariantViolation("residual factor must be monic nonconstant")
-        if fld.is_zero(psi[0]):
-            raise ForbiddenResidualY("residual factor with root zero")
+        if not psi[0]:
+            raise InvariantViolation("residual factor with root zero")
         out = self.phi ** (e * fpsi)
         for j in range(fpsi):
             bj = psi[j]
-            if fld.is_zero(bj):
+            if not bj:
                 continue
             rho = fld.mul(fld.pow(w, e * (fpsi - j)), bj)
             Q = self.lift(rho, (fpsi - j) * (e * VW + h), W)
@@ -309,7 +308,8 @@ def _one_side(tipo: Type, f: IntPolynomial) -> Optional[Tuple[Side, object]]:
     if len(sides) != 1:
         raise InvariantViolation("polygon of f with more than one side")
     res = tipo.residual_on_side(sides[0], readings, cloud)
-    return sides[0], tipo.order_data(tipo.order + 1)[0].div(res[0], res[1])
+    fld = tipo.order_data(tipo.order + 1)[0]
+    return sides[0], fld.mul(res[0], fld.inv(res[1]))
 
 
 def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:

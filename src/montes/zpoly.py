@@ -5,11 +5,7 @@ holds the x^i coefficient) with trailing zeros trimmed, so the representation
 of a polynomial is canonical and hashable.
 """
 
-from .errors import (
-    DegreeTooSmall,
-    NonMonicModulus,
-    ZeroPolynomial,
-)
+from .errors import InvariantViolation
 from .ffield import Field, _power, _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce, pgcd, ptrim
 
 
@@ -36,7 +32,7 @@ class IntPolynomial:
     @property
     def lc(self):
         if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+            raise InvariantViolation("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     @property
@@ -82,7 +78,7 @@ class IntPolynomial:
     def divmod_monic(self, phi):
         """Quotient and remainder by a monic divisor, exact over Z."""
         if not phi.is_monic:
-            raise NonMonicModulus("divisor must be monic")
+            raise InvariantViolation("divisor must be monic")
         d = phi.degree
         if d == 0:
             return self, IntPolynomial()
@@ -128,7 +124,7 @@ def pval(n, p):
     through the same powers, so a valuation v costs O(log v) divisions.
     """
     if n == 0:
-        raise ZeroPolynomial("p-adic valuation of 0 requested")
+        raise InvariantViolation("p-adic valuation of 0 requested")
     if n % p:
         return 0
     n = abs(n)
@@ -154,7 +150,7 @@ def vpoly(f, p):
     """min over nonzero coefficients of their p-adic valuation (the order-one
     valuation v_1)."""
     if f.is_zero:
-        raise ZeroPolynomial("v_1 of the zero polynomial requested")
+        raise InvariantViolation("v_1 of the zero polynomial requested")
     return min(pval(c, p) for c in f.coeffs if c)
 
 
@@ -172,7 +168,7 @@ def phi_expand(P, phi):
     """phi-adic expansion: the list [a_0, a_1, ...] with P = sum a_i phi^i and
     deg a_i < deg phi.  phi must be monic of degree >= 1."""
     if phi.degree < 1:
-        raise DegreeTooSmall("expansion modulus must have degree >= 1")
+        raise InvariantViolation("expansion modulus must have degree >= 1")
     out = []
     cur = P
     while not cur.is_zero:
@@ -205,7 +201,7 @@ def is_squarefree(f):
     So the work follows the size of G, not a bound on it.
     """
     if f.is_zero:
-        raise ZeroPolynomial("squarefreeness of the zero polynomial")
+        raise InvariantViolation("squarefreeness of the zero polynomial")
     if f.degree <= 1:
         return True
     n, lc = f.degree, f.lc

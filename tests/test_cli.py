@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from montes import driver
+from montes import cli, driver, types
 from montes.cli import (
     main,
     parse_coeffs,
@@ -23,7 +23,7 @@ from montes.cli import (
 from montes.corpus import multi_branch, quartic_refine, random_tower, tower_phi
 from montes.errors import ParseError
 from montes.types import Type
-from montes.zpoly import IntPolynomial, X
+from montes.zpoly import IntPolynomial, X, pval
 
 from .test_zpoly import F12
 
@@ -461,10 +461,52 @@ def test_bench_repeat_below_one_exit_2(capsys):
 
 
 def test_bench_malformed_spec_exit_2(capsys):
-    for spec in ("tower:abc", "tower:", "multi-branch:x", "quartic-refine:7:k"):
+    specs = (
+        "tower:abc",
+        "tower:",
+        "multi-branch:x",
+        "quartic-refine:7:k",
+        # a trailing parameter is refused, not dropped
+        "tower:1:7",
+        "multi-branch:1:9",
+        "quartic-refine:7",
+        "nosuch:1",
+    )
+    for spec in specs:
         code, out, err = run_cli(capsys, "bench", spec)
         assert code == 2, spec
         assert err.startswith("error:") and out == "", spec
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("factor", "--prime", "2", "--poly", "", "--format", "coeffs"), "empty coefficient list"),
+        (
+            ("factor", "--prime", "2", "--poly", "1\nx", "--format", "coeffs"),
+            "bad coefficient line: invalid literal for int() with base 10: 'x'",
+        ),
+        (("corpus", "--family", "tower", "--chain", "1:2"), "chain levels look like h:e:f separated by commas"),
+        (("corpus", "--family", "tower", "--chain", "1:2:x"), "chain entries must be integers"),
+        (("corpus", "--family", "quartic-refine"), "quartic-refine needs --prime"),
+        (("corpus", "--family", "tower", "--level", "9"), "tower level must be between 1 and 8"),
+        (("corpus", "--family", "quartic-refine", "--prime", "4"), "p must be prime"),
+        (("corpus", "--family", "quartic-refine", "--prime", "3", "--k", "0"), "k must be positive"),
+        (("corpus", "--family", "tower", "--chain", "1:2:1", "--prime", "4"), "p must be prime"),
+        (("corpus", "--family", "tower", "--chain", "1:2:1", "--f0", "0"), "f0 must be positive"),
+        (
+            ("corpus", "--family", "tower", "--chain", "2:2:1"),
+            "each level needs h,e,f >= 1 with gcd(h,e) = 1",
+        ),
+        (("bench", "tower:1:7"), "bench spec tower:<n>"),
+        (("bench", "quartic-refine:7"), "bench spec quartic-refine:<p>:<k>"),
+        (("bench", "nosuch:1"), "unknown bench spec 'nosuch:1'"),
+    ],
+)
+def test_input_refusals_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_verify_is_not_a_subcommand(capsys):
@@ -499,6 +541,28 @@ def test_residual_factor_y_fault_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "factor", "--prime", "2", "--poly", "x^2+4")
     assert code == 3 and out == ""
     assert err == "internal error: residual factor vanishes at zero\n"
+
+
+def test_arithmetic_precondition_fault_exit_3(capsys, monkeypatch):
+    # no input reaches pval with 0: a failed arithmetic precondition is a
+    # program fault, not a refused input
+    monkeypatch.setattr(types, "vpoly", lambda f, p: pval(0, p))
+    code, out, err = run_cli(capsys, "factor", "--prime", "2", "--poly", "x^2+4")
+    assert code == 3 and out == ""
+    assert err == "internal error: p-adic valuation of 0 requested\n"
+
+
+def test_timings_cover_disc(capsys, monkeypatch):
+    real = cli.disc_valuation
+
+    def slow_disc(r):
+        time.sleep(0.2)
+        return real(r)
+
+    monkeypatch.setattr(cli, "disc_valuation", slow_disc)
+    code, out, _ = run_cli(capsys, "factor", "--prime", "2", "--poly", "x^2+4", "--disc", "--json")
+    timings = json.loads(out)["timings_ms"]
+    assert code == 0 and timings["factor"] >= 200 and timings["total"] >= 200
 
 
 def test_factor_unreadable_file_exit_2(capsys):

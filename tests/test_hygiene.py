@@ -1,11 +1,14 @@
 """Source hygiene: no unused imports, no rational arithmetic in the
 package, no package code that only the tests call, no slot or dataclass
 field that nothing reads, package imports at the top of their modules, no
-work at import time, and one powering loop.  All seven are read off the
+work at import time, one powering loop, input errors raised only where input
+arrives, and no error class that nothing raises.  All nine are read off the
 syntax tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
+
+from montes import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "montes").glob("*.py"))
@@ -181,3 +184,50 @@ def test_no_call_at_import_time():
             if any(isinstance(node, ast.Call) for node in ast.walk(stmt)):
                 found.append(f"{path.name}: {ast.unparse(stmt)}")
     assert found == ["zpoly.py: X = IntPolynomial((0, 1))"]
+
+
+def raised_errors():
+    """(module, innermost function, class) of every `raise Name(...)` in the
+    package whose Name is a class of montes.errors."""
+    found = []
+
+    def visit(node, module, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                cls = vars(errors).get(exc.id) if isinstance(exc, ast.Name) else None
+                if isinstance(cls, type) and issubclass(cls, errors.MontesError):
+                    found.append((module, fn, cls))
+            visit(child, module, fn)
+
+    for path in PACKAGE:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return found
+
+
+def test_input_errors_raised_only_where_input_arrives():
+    # Input is refused where it arrives: the CLI, the corpus families and
+    # driver.py's checks on (f, p).  A failed precondition deeper down is a
+    # program fault (exit code 3), with one exception: value_at_prime's
+    # ZeroAtTheta, which idealgen catches.
+    found = [
+        f"{module}: {fn} raises {cls.__name__}"
+        for module, fn, cls in raised_errors()
+        if issubclass(cls, errors.InputError)
+        and module not in ("cli.py", "corpus.py", "driver.py")
+        and (module, fn, cls) != ("types.py", "value_at_prime", errors.ZeroAtTheta)
+    ]
+    assert found == []
+
+
+def test_every_error_class_is_raised():
+    declared = {
+        cls
+        for cls in vars(errors).values()
+        if isinstance(cls, type) and cls.__module__ == errors.__name__
+    }
+    raised = {cls for _, _, cls in raised_errors()}
+    assert sorted(cls.__name__ for cls in declared - raised) == ["MontesError"]

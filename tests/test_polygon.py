@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from montes.errors import NoPoints
+from montes.errors import InvariantViolation
 from montes.polygon import (
     Side,
     cut_sides,
@@ -99,5 +99,5 @@ def test_region_matches_oracle_randomized():
 
 
 def test_empty_cloud_raises():
-    with pytest.raises(NoPoints):
+    with pytest.raises(InvariantViolation, match="empty point set"):
         lower_hull([])
