@@ -197,7 +197,7 @@ def poly_to_expr(f: IntPolynomial) -> str:
         return "0"
     parts: List[str] = []
     for k in range(f.degree, -1, -1):
-        c = f.coeffs[k] if k < len(f.coeffs) else 0
+        c = f.coeffs[k]
         if c == 0:
             continue
         mag = abs(c)
@@ -215,8 +215,7 @@ def poly_to_expr(f: IntPolynomial) -> str:
 
 def poly_to_coeff_lines(f: IntPolynomial) -> str:
     _lift_digit_limit()
-    cs = list(f.coeffs) + [0] * (f.degree + 1 - len(f.coeffs))
-    return "\n".join(str(c) for c in reversed(cs))
+    return "\n".join(str(c) for c in reversed(f.coeffs))
 
 
 # --- factor subcommand ---
@@ -348,7 +347,7 @@ def cmd_corpus(args) -> int:
         if args.chain is not None:
             chain = _parse_chain(args.chain)
             _check_member_size(args.f0 * math.prod(e * fdeg for _, e, fdeg in chain))
-            f = random_tower(args.prime or 2, args.f0, chain, args.seed)
+            f = random_tower(2 if args.prime is None else args.prime, args.f0, chain, args.seed)
         else:
             f = tower_phi(args.level)
     elif args.family == "quartic-refine":

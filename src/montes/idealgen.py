@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import _power, _zp_divisor, _zp_divmod, _zp_mul, _zp_reduce
 from .types import Type, complete_branch, contact, value_at_prime
-from .zpoly import IntPolynomial, maximal_at, pval
+from .zpoly import IntPolynomial, pval
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,15 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     polygon, where it is negative."""
     if record.kind == "dedekind":
         # phi(theta) is a unit at every other prime.  At its own it has value
-        # 1 when v_p(f mod phi) = 1, as on every record with e > 1; otherwise
-        # e = 1 and the value is at least 2, so phi + p has value 1
+        # 1 when e > 1, as Dedekind's criterion held at initialization, or
+        # when its contact is 1; otherwise the value is at least 2, so phi + p
+        # has value 1
         phi = record.dede_phi
-        return _element((phi if maximal_at(f, phi, p) else phi + IntPolynomial((p,))).coeffs, 0, p)
+        if record.e == 1:
+            touch = complete_branch(record, f, p)[1]
+            if touch is None or touch[0] != 1:
+                phi = phi + IntPolynomial((p,))
+        return _element(phi.coeffs, 0, p)
 
     tipo = record.tipo
     W = tipo.order + 1

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from .ffield import Field
-from .polygon import Side, principal_sides
+from .polygon import principal_sides
 from .zpoly import IntPolynomial, phi_expand, vpoly
 
 # v_R(P) with the terms that attain it, as Type.v returns them
@@ -194,9 +194,7 @@ class Type:
                 cloud[j] = r[0] + j * VW
         return readings, cloud
 
-    def residual_on_side(
-        self, side: Side, readings: Dict[int, Reading], cloud: Dict[int, int]
-    ) -> List:
+    def residual_on_side(self, side, readings: Dict[int, Reading], cloud: Dict[int, int]) -> List:
         """Residual polynomial of the side, a list over the working field."""
         W = self.order + 1
         fld = self.order_data(W)[0]
@@ -298,34 +296,25 @@ class Type:
 # --- the value of a polynomial at a finished prime ---
 
 
-def _one_side(tipo: Type, f: IntPolynomial) -> Optional[Tuple[Side, object]]:
-    """The one side of the polygon of f along the pending modulus, with c
-    for y + c its residual made monic, or None when the modulus divides f."""
+def contact(tipo: Type, f: IntPolynomial, width: int = 1) -> Optional[Tuple[int, object]]:
+    """(H, c) with H the height of the polygon of f along the pending modulus
+    and y + c its residual polynomial made monic, or None when the modulus
+    divides f.  The polygon must be one side of the given width.
+
+    Along the pending modulus phi of a complete branch the polygon is one
+    side of width one, and H is the contact: v(phi(theta)) = V + H.
+    """
     readings, cloud = tipo.newton_data(f)
     if 0 not in cloud:
         return None
     sides = principal_sides(sorted(cloud.items()))
     if len(sides) != 1:
         raise InvariantViolation("polygon of f with more than one side")
+    if sides[0].width != width:
+        raise InvariantViolation("complete branch with a non-unit polygon of f")
     res = tipo.residual_on_side(sides[0], readings, cloud)
     fld = tipo.order_data(tipo.order + 1)[0]
-    return sides[0], fld.mul(res[0], fld.inv(res[1]))
-
-
-def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
-    """(H, c) with v(phi(theta)) = V + H and y + c the residual polynomial of
-    the polygon of f, or None when the pending modulus phi divides f.
-
-    The polygon of f with respect to the pending modulus of a complete
-    branch is one-sided of width one and integer slope -H.
-    """
-    touch = _one_side(tipo, f)
-    if touch is None:
-        return None
-    side, c = touch
-    if side.width != 1 or side.e != 1:
-        raise InvariantViolation("complete branch with a non-unit polygon of f")
-    return side.h, c
+    return sides[0].height, fld.mul(res[0], fld.inv(res[1]))
 
 
 def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tuple[int, object]]]:
@@ -340,10 +329,10 @@ def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tu
         T = record.tipo
     else:
         e = record.e
-        T = Type.order_zero(p, tuple(c % p for c in record.dede_phi.coeffs), e)
+        T = Type.order_zero(p, record.dede_phi.coeffs, e)
         if e > 1:
-            touch = _one_side(T, f)
-            if touch is None or touch[0].h != 1 or touch[0].e != e:
+            touch = contact(T, f, e)
+            if touch is None or touch[0] != 1:
                 raise InvariantViolation("shortcut record with an unexpected polygon")
             T = T.extended(1, e, [touch[1], T.F1.one], 1)
     record.complete = T, contact(T, f)

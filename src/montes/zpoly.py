@@ -80,8 +80,6 @@ class IntPolynomial:
         if not phi.is_monic:
             raise InvariantViolation("divisor must be monic")
         d = phi.degree
-        if d == 0:
-            return self, IntPolynomial()
         rem = list(self.coeffs)
         if len(rem) <= d:
             return IntPolynomial(), self

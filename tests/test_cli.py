@@ -501,6 +501,7 @@ def test_bench_malformed_spec_exit_2(capsys):
         (("bench", "tower:1:7"), "bench spec tower:<n>"),
         (("bench", "quartic-refine:7"), "bench spec quartic-refine:<p>:<k>"),
         (("bench", "nosuch:1"), "unknown bench spec 'nosuch:1'"),
+        (("corpus", "--family", "tower", "--chain", "1:2:1", "--prime", "0"), "p must be prime"),
     ],
 )
 def test_input_refusals_exit_2(capsys, argv, message):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from montes import idealgen, types
+from montes import driver, idealgen, types
 from montes.cli import parse_poly
 from montes.driver import disc_valuation, factor_prime
 from montes.errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
@@ -110,18 +110,40 @@ def test_one_contact_per_modulus(monkeypatch):
     calls = Counter()
     contact = types.contact
 
-    def counted_contact(tipo, f):
+    def counted_contact(tipo, f, width=1):
         calls[tipo.phi] += 1
-        return contact(tipo, f)
+        return contact(tipo, f, width)
 
     monkeypatch.setattr(types, "contact", counted_contact)
     monkeypatch.setattr(idealgen, "contact", counted_contact)
-    for f in (F12, LATE_CORRECTIONS, tower_phi(5)):
+    for f, p in ((F12, 2), (LATE_CORRECTIONS, 2), (tower_phi(5), 2), (parse_poly("x^30-14"), 3)):
         calls.clear()
-        r = factor_prime(f, 2)
+        r = factor_prime(f, p)
         compute_generators(r)
         disc_valuation(r)
         assert len(calls) >= len(r.primes) and set(calls.values()) == {1}
+
+
+def test_dedekind_criterion_runs_only_at_initialization(monkeypatch):
+    # The generators and the discriminant read a prime that the criterion
+    # finished off its complete branch, and do not run the criterion again.
+    calls = []
+    maximal_at = driver.maximal_at
+
+    def counted_maximal_at(f, phi, p):
+        calls.append(phi)
+        return maximal_at(f, phi, p)
+
+    monkeypatch.setattr(driver, "maximal_at", counted_maximal_at)
+    monkeypatch.setattr(idealgen, "maximal_at", counted_maximal_at, raising=False)
+    for text, p in (("x^3-3", 3), ("x^30-14", 3), ("x^2-3*x+25", 5), ("x^4-10", 5)):
+        calls.clear()
+        r = factor_prime(parse_poly(text), p)
+        at_initialization = len(calls)
+        assert all(rec.kind == "dedekind" for rec in r.primes)
+        compute_generators(r)
+        disc_valuation(r)
+        assert len(calls) == at_initialization
 
 
 def test_generators_do_not_depend_on_what_ran_before():

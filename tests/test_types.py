@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from montes import types
+from montes import driver, types
+from montes.cli import parse_poly
 from montes.driver import factor_prime
 from montes.errors import InvariantViolation, UnliftableTarget
 from montes.ffield import factor as ffactor
 from montes.idealgen import compute_generators
 from montes.polygon import principal_sides
-from montes.types import Type, value_at_prime
+from montes.types import Type, complete_branch, value_at_prime
 from montes.zpoly import IntPolynomial
 
 from .test_zpoly import F12
@@ -246,3 +247,29 @@ def test_one_expansion_per_coefficient_and_modulus(monkeypatch):
             assert sum(P == F12 for P, _ in expansions) == len(moduli)
             rounds.append(len(moduli) - 1)
     assert max(rounds) >= 1
+
+
+def _branch_data(record, f, p):
+    T, touch = complete_branch(record, f, p)
+    levels = [(lvl.phi, lvl.h, lvl.e, list(lvl.psi)) for lvl in T.levels]
+    return levels, T.phi, touch
+
+
+def test_shortcut_builds_the_branch_the_loop_would(monkeypatch):
+    # A prime that Dedekind's criterion finished at initialization gets its
+    # complete branch from its modulus alone; with the criterion switched
+    # off, the splitting loop builds that branch from the same modulus.
+    cases = [("x^3-3", 3), ("x^4-10", 5), ("x^12+3*x+3", 3), ("x^30-14", 3)]
+    for text, p in cases:
+        f = parse_poly(text)
+        df = f.derivative()
+        shortcut = [rec for rec in factor_prime(f, p).primes if rec.kind == "dedekind" and rec.e > 1]
+        assert shortcut, text
+        with monkeypatch.context() as m:
+            m.setattr(driver, "maximal_at", lambda f, phi, p: False)
+            looped = factor_prime(f, p).primes
+        for rec in shortcut:
+            (twin,) = [r for r in looped if r.tipo.levels and r.tipo.levels[0].phi == rec.dede_phi]
+            assert (twin.e, twin.f) == (rec.e, rec.f)
+            assert _branch_data(twin, f, p) == _branch_data(rec, f, p)
+            assert value_at_prime(twin, df, f, p) == value_at_prime(rec, df, f, p)
