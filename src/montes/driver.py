@@ -30,10 +30,10 @@ class PrimeRecord:
     kind tells how the prime completed: "dedekind" via the shortcut at
     initialization, "side" via a multiplicity-one residual factor, "factor"
     when the pending modulus divides f exactly.  tipo holds the completed
-    branch.  complete caches the branch the prime's values are read on with
-    its contact: the contact H and the residual root c that would refine it
-    further, or None when the branch's modulus divides f.  value_type caches
-    value_at_prime's improved branch the same way.
+    branch, and a shortcut prime its modulus dede_phi and, for e > 1, its
+    criterion's digit dede_digit.  complete caches the branch the prime's
+    values are read on with its contact, as types.contact returns it, and
+    value_type caches value_at_prime's improved branch the same way.
     """
 
     e: int
@@ -41,6 +41,7 @@ class PrimeRecord:
     kind: str
     tipo: Optional[Type] = None
     dede_phi: Optional[IntPolynomial] = None
+    dede_digit: Optional[List[int]] = None
     complete: Optional[Tuple[Type, Optional[Tuple[int, object]]]] = None
     value_type: Optional[Tuple[Type, Optional[Tuple[int, object]]]] = None
 
@@ -70,8 +71,9 @@ def _initialize(
     branches: List[Type] = []
     for psi, a in factors:
         phi = IntPolynomial(psi)
-        if a == 1 or maximal_at(f, phi, p):
-            dedekind.append(PrimeRecord(e=a, f=len(psi) - 1, kind="dedekind", dede_phi=phi))
+        digit = maximal_at(f, phi, p) if a > 1 else None
+        if a == 1 or digit:
+            dedekind.append(PrimeRecord(a, phi.degree, "dedekind", dede_phi=phi, dede_digit=digit))
         else:
             branches.append(Type.order_zero(p, psi, a))
     return dedekind, branches

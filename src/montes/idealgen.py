@@ -216,15 +216,9 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
     prime, except a prime that branches off a steeper side of the same
     polygon, where it is negative."""
     if record.kind == "dedekind":
-        # phi(theta) is a unit at every other prime.  At its own it has value
-        # 1 when e > 1, as Dedekind's criterion held at initialization, or
-        # when its contact is 1; otherwise the value is at least 2, so phi + p
-        # has value 1
-        phi = record.dede_phi
-        if record.e == 1:
-            touch = complete_branch(record, f, p)[1]
-            if touch is None or touch[0] != 1:
-                phi = phi + IntPolynomial((p,))
+        # phi(theta) is a unit at every other prime; at its own, Dedekind's
+        # criterion gives it value 1 if e > 1; else ensure_H1 adds p as needed
+        phi = record.dede_phi if record.e > 1 else ensure_H1(record, f, p)
         return _element(phi.coeffs, 0, p)
 
     tipo = record.tipo
@@ -235,14 +229,13 @@ def beta(record, f: IntPolynomial, p: int) -> FieldElement:
         # directly and glue the constant 1 on the complement
         E = tipo.e_prod
         _, _, V = tipo.order_data(W)
-        pi = None
         for w in range(V + f.degree + 16):
             try:
                 pi = tipo.lift_simple(1 + w * E, W)
                 break
             except UnliftableTarget:
                 continue
-        if pi is None:
+        else:
             raise InvariantViolation("no liftable uniformizer target")
         d = tipo.phi
         quo, rem = f.divmod_monic(d)

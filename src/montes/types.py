@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
-from .ffield import Field
+from .ffield import Field, _zp_divmod
 from .polygon import principal_sides
 from .zpoly import IntPolynomial, phi_expand, vpoly
 
@@ -296,10 +296,10 @@ class Type:
 # --- the value of a polynomial at a finished prime ---
 
 
-def contact(tipo: Type, f: IntPolynomial, width: int = 1) -> Optional[Tuple[int, object]]:
+def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
     """(H, c) with H the height of the polygon of f along the pending modulus
     and y + c its residual polynomial made monic, or None when the modulus
-    divides f.  The polygon must be one side of the given width.
+    divides f.
 
     Along the pending modulus phi of a complete branch the polygon is one
     side of width one, and H is the contact: v(phi(theta)) = V + H.
@@ -310,7 +310,7 @@ def contact(tipo: Type, f: IntPolynomial, width: int = 1) -> Optional[Tuple[int,
     sides = principal_sides(sorted(cloud.items()))
     if len(sides) != 1:
         raise InvariantViolation("polygon of f with more than one side")
-    if sides[0].width != width:
+    if sides[0].width != 1:
         raise InvariantViolation("complete branch with a non-unit polygon of f")
     res = tipo.residual_on_side(sides[0], readings, cloud)
     fld = tipo.order_data(tipo.order + 1)[0]
@@ -321,20 +321,25 @@ def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tu
     """The record's complete branch with its contact, read once per record.
 
     A prime that the Dedekind shortcut finished gets its branch built from
-    its modulus here.
+    its modulus here.  For e > 1 the polygon along phi is one side from
+    (0, 1) to (e, 0); its residual root is the criterion's digit over the
+    e-th phi-adic digit of f mod p, with no twist at order one.
     """
     if record.complete is not None:
         return record.complete
     if record.kind != "dedekind":
         T = record.tipo
     else:
-        e = record.e
-        T = Type.order_zero(p, record.dede_phi.coeffs, e)
+        e, phi = record.e, record.dede_phi.coeffs
+        T = Type.order_zero(p, phi, e)
         if e > 1:
-            touch = contact(T, f, e)
-            if touch is None or touch[0] != 1:
-                raise InvariantViolation("shortcut record with an unexpected polygon")
-            T = T.extended(1, e, [touch[1], T.F1.one], 1)
+            g, F1 = [c % p for c in f.coeffs], T.F1
+            for j in range(e + 1):
+                g, r = _zp_divmod(g, phi, p)
+                if bool(r) != (j == e):
+                    raise InvariantViolation("shortcut record with an unexpected polygon")
+            c = F1.mul(F1.embed(record.dede_digit), F1.inv(F1.embed(r)))
+            T = T.extended(1, e, [c, F1.one], 1)
     record.complete = T, contact(T, f)
     return record.complete
 

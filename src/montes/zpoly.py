@@ -72,7 +72,7 @@ class IntPolynomial:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvariantViolation("negative power of a polynomial")
         return _power(self, n, IntPolynomial.__mul__) if n else IntPolynomial((1,))
 
     def divmod_monic(self, phi):
@@ -153,13 +153,13 @@ def vpoly(f, p):
 
 
 def maximal_at(f, phi, p):
-    """True iff f mod phi is nonzero mod p^2, for a monic phi whose reduction
-    divides f mod p.  Then f mod phi vanishes mod p, so this says that v_p(f
-    mod phi) = 1: the first point of the order-1 polygon of f along phi, and
-    Dedekind's criterion at phi.  Monic division commutes with reduction, so
-    the remainder is taken mod p^2 throughout."""
+    """The digit (f mod phi)/p mod p, for monic phi whose reduction divides f
+    mod p.  It is empty exactly when f mod phi vanishes mod p^2; otherwise
+    Dedekind's criterion holds at phi, and v_p(f mod phi) = 1 is the first
+    point of the order-1 polygon of f along phi.  Monic division commutes
+    with reduction, so the remainder is taken mod p^2 throughout."""
     q = p * p
-    return bool(_zp_divmod(_zp_reduce(f.coeffs, q), _zp_divisor(phi.coeffs, q), q)[1])
+    return [r // p for r in _zp_divmod(_zp_reduce(f.coeffs, q), _zp_divisor(phi.coeffs, q), q)[1]]
 
 
 def phi_expand(P, phi):

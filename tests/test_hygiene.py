@@ -2,8 +2,9 @@
 package, no package code that only the tests call, no slot or dataclass
 field that nothing reads, package imports at the top of their modules, no
 work at import time, one powering loop, input errors raised only where input
-arrives, and no error class that nothing raises.  All nine are read off the
-syntax tree, so no linter is needed."""
+arrives, no error class that nothing raises, and no exception raised outside
+errors.py's classes.  All ten are read off the syntax tree, so no linter is
+needed."""
 
 import ast
 from pathlib import Path
@@ -186,9 +187,10 @@ def test_no_call_at_import_time():
     assert found == ["zpoly.py: X = IntPolynomial((0, 1))"]
 
 
-def raised_errors():
-    """(module, innermost function, class) of every `raise Name(...)` in the
-    package whose Name is a class of montes.errors."""
+def raised_exceptions():
+    """(module, innermost function, class, name) of every `raise Name` and
+    `raise Name(...)` in the package, with class the montes.errors class of
+    that Name, or None when Name is not one."""
     found = []
 
     def visit(node, module, fn):
@@ -196,16 +198,23 @@ def raised_errors():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if isinstance(child, ast.Raise):
+            if isinstance(child, ast.Raise) and child.exc is not None:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
                 cls = vars(errors).get(exc.id) if isinstance(exc, ast.Name) else None
-                if isinstance(cls, type) and issubclass(cls, errors.MontesError):
-                    found.append((module, fn, cls))
+                if not (isinstance(cls, type) and issubclass(cls, errors.MontesError)):
+                    cls = None
+                found.append((module, fn, cls, ast.unparse(exc)))
             visit(child, module, fn)
 
     for path in PACKAGE:
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
     return found
+
+
+def raised_errors():
+    """(module, innermost function, class) of every `raise Name(...)` in the
+    package whose Name is a class of montes.errors."""
+    return [(module, fn, cls) for module, fn, cls, _ in raised_exceptions() if cls]
 
 
 def test_input_errors_raised_only_where_input_arrives():
@@ -231,3 +240,11 @@ def test_every_error_class_is_raised():
     }
     raised = {cls for _, _, cls in raised_errors()}
     assert sorted(cls.__name__ for cls in declared - raised) == ["MontesError"]
+
+
+def test_the_package_raises_only_its_own_errors():
+    # cli.main maps a package error to exit code 2 or 3; any other exception
+    # would escape it as a traceback.  The one exception is the
+    # AttributeError of IntPolynomial's immutability, the language's own.
+    found = [(module, fn, name) for module, fn, cls, name in raised_exceptions() if not cls]
+    assert found == [("zpoly.py", "__setattr__", "AttributeError")]

@@ -18,6 +18,7 @@ from montes.driver import disc_valuation, factor_prime
 from montes.errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from montes.corpus import multi_branch, tower_phi
 from montes.idealgen import beta, compute_generators, p_adic_inverse, value_at_prime
+from montes.types import Type
 from montes.zpoly import IntPolynomial, X, is_squarefree, pval
 
 from .oracles import full_cofactor_euclid, sylvester_resultant
@@ -110,9 +111,9 @@ def test_one_contact_per_modulus(monkeypatch):
     calls = Counter()
     contact = types.contact
 
-    def counted_contact(tipo, f, width=1):
+    def counted_contact(tipo, f):
         calls[tipo.phi] += 1
-        return contact(tipo, f, width)
+        return contact(tipo, f)
 
     monkeypatch.setattr(types, "contact", counted_contact)
     monkeypatch.setattr(idealgen, "contact", counted_contact)
@@ -144,6 +145,29 @@ def test_dedekind_criterion_runs_only_at_initialization(monkeypatch):
         compute_generators(r)
         disc_valuation(r)
         assert len(calls) == at_initialization
+
+
+def test_no_expansion_along_a_dedekind_modulus(monkeypatch):
+    # A prime that the criterion finished with e > 1 gets its polygon along
+    # its modulus from the criterion's digit and f mod p, so neither the
+    # generators nor the discriminant expand f along that modulus over Z.
+    expanded = []
+    newton_data = Type.newton_data
+
+    def recorded_newton_data(self, P):
+        expanded.append((self.order, self.phi))
+        return newton_data(self, P)
+
+    monkeypatch.setattr(Type, "newton_data", recorded_newton_data)
+    for text, p in (("x^30-14", 3), ("x^4-10", 5)):
+        r = factor_prime(parse_poly(text), p)
+        moduli = {rec.dede_phi for rec in r.primes if rec.kind == "dedekind" and rec.e > 1}
+        assert moduli
+        expanded.clear()
+        compute_generators(r)
+        disc_valuation(r)
+        assert expanded
+        assert [phi for order, phi in expanded if order == 0 and phi in moduli] == []
 
 
 def test_generators_do_not_depend_on_what_ran_before():

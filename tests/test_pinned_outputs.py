@@ -17,6 +17,10 @@ kept every cofactor mod p^N.  The digests of x^30 - 14 at 3 and
 x^2 - 3x + 25 at 5 with --generators --disc, whose Dedekind primes take
 both generators a Dedekind prime can get (phi, and phi + p for x + 5 at 5),
 were computed while those generators still re-ran Dedekind's criterion.
+The digest of x^150 - 14 at 3 with --disc, whose Dedekind primes have
+residue fields of degree 2, 4 and 20, was computed while the discriminant
+still read a Dedekind prime of e > 1 off an expansion of f along its
+modulus over Z.
 The coefficients of A2, tower:6, tower:7 and
 multi-branch:3, in the degree-descending lines of `montes corpus --format
 coeffs`, were pinned while IntPolynomial powers still squared once past the
@@ -59,6 +63,7 @@ CASES = {
     "x^396+2": (lambda: IntPolynomial([2] + [0] * 395 + [1]), 13, ()),
     "x^7410-14": (lambda: IntPolynomial([-14] + [0] * 7409 + [1]), 3, ()),
     "x^30-14": (lambda: IntPolynomial([-14] + [0] * 29 + [1]), 3, FULL),
+    "x^150-14 --disc": (lambda: IntPolynomial([-14] + [0] * 149 + [1]), 3, ("--disc",)),
     "x^2-3*x+25": (lambda: IntPolynomial([25, -3, 1]), 5, FULL),
     # corpus members built by powers of IntPolynomial: their coefficients
     "A2 coeffs": (lambda: A2, None, ()),
@@ -81,6 +86,7 @@ PINNED = {
     "x^396+2": "6d624540f5e86d905f2df9980fd2fc02e4aac66c3478a8859c620015b79f5426",
     "x^7410-14": "7ad50c509a767310d0bcfef029586fdb098f6f29c23bf6a722724baed96852b1",
     "x^30-14": "ba66979e2f94389052ec40473368a2938c3cd3096bc09fc6ca20d79f9da4f0a5",
+    "x^150-14 --disc": "c9948efa79e9cfda557895251fef2042fe66be7ff391961ee06298cd1fa06743",
     "x^2-3*x+25": "60c3918c5e4134e04dc3edb0f287c257e76c6510385cebaa33d5b6978f95fbc9",
     "A2 coeffs": "400a52b374eecd5f30d46b306dcc1e1a68c421f692c5a7ecc077df9d373909d8",
     "tower:6 coeffs": "238ff14661015b798555d95f98a1e4f07bfb8d4d5269e2a76f1c4f8cb610f5a3",

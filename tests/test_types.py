@@ -4,14 +4,15 @@ import pytest
 
 from montes import driver, types
 from montes.cli import parse_poly
-from montes.driver import factor_prime
+from montes.driver import disc_valuation, factor_prime
 from montes.errors import InvariantViolation, UnliftableTarget
 from montes.ffield import factor as ffactor
 from montes.idealgen import compute_generators
 from montes.polygon import principal_sides
 from montes.types import Type, complete_branch, value_at_prime
-from montes.zpoly import IntPolynomial
+from montes.zpoly import IntPolynomial, is_squarefree
 
+from .oracles import NotApplicable, tame_disc_check
 from .test_zpoly import F12
 
 X = IntPolynomial([0, 1])
@@ -255,16 +256,37 @@ def _branch_data(record, f, p):
     return levels, T.phi, touch
 
 
+def powers_plus_p_multiples(count, seed):
+    """Seeded squarefree f = g^e + p*h, at p in {2, 3, 5, 7}, with 2 <= e <= 5
+    and deg g in {1, 2, 3}, each with a prime that Dedekind's criterion
+    finishes at a factor of multiplicity e > 1, as most draws have."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = rng.choice((2, 3, 5, 7))
+        g = IntPolynomial([rng.randrange(-p, p) for _ in range(rng.randint(1, 3))] + [1])
+        base = g ** rng.randint(2, 5)
+        f = base + IntPolynomial([rng.randint(-p, p) for _ in range(base.degree)]) * p
+        if is_squarefree(f) and any(
+            r.kind == "dedekind" and r.e > 1 for r in factor_prime(f, p).primes
+        ):
+            out.append((f, p))
+    return out
+
+
 def test_shortcut_builds_the_branch_the_loop_would(monkeypatch):
     # A prime that Dedekind's criterion finished at initialization gets its
     # complete branch from its modulus alone; with the criterion switched
     # off, the splitting loop builds that branch from the same modulus.
+    # Where p divides no e_P, the discriminant also meets the tame identity.
     cases = [("x^3-3", 3), ("x^4-10", 5), ("x^12+3*x+3", 3), ("x^30-14", 3)]
-    for text, p in cases:
-        f = parse_poly(text)
+    cases = [(parse_poly(text), p) for text, p in cases] + powers_plus_p_multiples(40, 21)
+    tame = 0
+    for f, p in cases:
         df = f.derivative()
-        shortcut = [rec for rec in factor_prime(f, p).primes if rec.kind == "dedekind" and rec.e > 1]
-        assert shortcut, text
+        run = factor_prime(f, p)
+        shortcut = [rec for rec in run.primes if rec.kind == "dedekind" and rec.e > 1]
+        assert shortcut, f
         with monkeypatch.context() as m:
             m.setattr(driver, "maximal_at", lambda f, phi, p: False)
             looped = factor_prime(f, p).primes
@@ -273,3 +295,12 @@ def test_shortcut_builds_the_branch_the_loop_would(monkeypatch):
             assert (twin.e, twin.f) == (rec.e, rec.f)
             assert _branch_data(twin, f, p) == _branch_data(rec, f, p)
             assert value_at_prime(twin, df, f, p) == value_at_prime(rec, df, f, p)
+        try:
+            lhs, rhs = tame_disc_check(
+                disc_valuation(run), p, run.index, [(r.e, r.f) for r in run.primes]
+            )
+        except NotApplicable:
+            continue
+        assert lhs == rhs, f
+        tame += 1
+    assert tame >= 10

@@ -83,6 +83,12 @@ def test_power_matches_repeated_multiplication(a, n):
     assert a**n == direct
 
 
+def test_negative_power_is_an_invariant_violation():
+    # a package error, so that the CLI maps it to exit code 3
+    with pytest.raises(InvariantViolation, match="negative power"):
+        IntPolynomial([1, 1]) ** -1
+
+
 def test_divmod_requires_monic():
     with pytest.raises(InvariantViolation, match="divisor must be monic"):
         IntPolynomial([1, 1]).divmod_monic(IntPolynomial([1, 2]))
