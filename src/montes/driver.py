@@ -91,7 +91,8 @@ def _run_branch(run: RunResult, branches: List[Type], rng: random.Random, refine
         run.pop_count += 1
         if run.pop_count > 8 * run.index + budget:
             raise InvariantViolation("splitting loop exceeded its progress budget")
-        readings, cloud = t.newton_data(f)
+        # the principal part ends at abscissa mult: no later digit reaches it
+        readings, cloud = t.newton_data(f, t.mult)
         fld = t.order_data(t.order + 1)[0]
         phi_divides = 0 not in cloud
         if phi_divides:

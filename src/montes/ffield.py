@@ -2,10 +2,12 @@
 
 Every field is one absolute field F_p[z]/(M) of degree D over F_p; the prime
 field has M = z.  extend(psi) builds F[y]/(psi): with modulus psi itself when
-D = 1, and otherwise with the minimal polynomial of theta = y + t*z, found by
-linear algebra over F_p for the first t = 0, 1, 2, ... (the multiples c*z
-come first) for which theta has full degree.  The field keeps the matrices
-between the basis of powers of theta and the tower basis z^i y^j.
+D = 1, with F's own modulus and basis when psi = y + c is linear, since
+F[y]/(y + c) is F, and otherwise with the minimal polynomial of
+theta = y + t*z, found by linear algebra over F_p for the first
+t = 0, 1, 2, ... (the multiples c*z come first) for which theta has full
+degree.  That field keeps the matrices between the basis of powers of theta
+and the tower basis z^i y^j.
 
 An element is an int: the residue itself when D = 1, so that the prime field
 and the degree-1 levels share one path, and otherwise its D coordinates in
@@ -44,6 +46,15 @@ loop at 5 to 8 coefficients, and Barrett overtook division at degree 12 to
 (zpoly, idealgen) keep the schoolbook _zp_mul: a Kronecker product sizes
 every slot by the widest coefficient, and their coefficients vary widely in
 size.
+
+factor splits off the squarefree parts, then the distinct-degree parts,
+then the equal-degree factors.  The squarefree split is Yun's algorithm
+(Modern Computer Algebra, section 14.6), made to work in characteristic p:
+its loop of gcds runs on polynomials of degree at most that of f/gcd(f, f')
+and finds the parts of multiplicity r mod p, 1 <= r < p; what is left is a
+p-th power, whose root is split the same way and merged in by gcds.  So a
+residual power psi^w costs one gcd of f and f' and a few small steps per
+base-p digit of w, where Musser's loop took O(w) gcds and divisions.
 
 _power is the package's one powering loop: Field.pow, ppowmod, the
 Frobenius steps, IntPolynomial powers and the generators' powers all pass it
@@ -97,7 +108,12 @@ class Field:
         if len(psi) < 2 or psi[-1] != self.one:
             raise InvariantViolation("extension modulus must be monic of degree >= 1")
         d = len(psi) - 1
-        ext = Field(self.p, self, psi, d) if self.D == 1 else self._primitive(psi, d)
+        if self.D == 1:
+            ext = Field(self.p, self, psi, d)
+        elif d == 1:
+            ext = Field(self.p, self, self.M, 1)  # F[y]/(y + c) is F itself
+        else:
+            ext = self._primitive(psi, d)
         ext.y = ext.embed([0, 1] if d > 1 else [self.neg(psi[0])])
         return ext
 
@@ -475,26 +491,57 @@ def pth_root(K: Field, f: Sequence) -> List:
     return ptrim(K, out)
 
 
+def _pderiv(K: Field, f: Sequence) -> List:
+    return ptrim(K, [K.mul(i % K.p, f[i]) for i in range(1, len(f))])
+
+
 def squarefree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:
-    """Split monic f into coprime squarefree parts: f = prod g^m, m distinct."""
-    parts, e, f = [], 1, list(f)
-    while len(f) > 1:
-        df = ptrim(K, [K.mul(i % K.p, f[i]) for i in range(1, len(f))])
-        if not df:
-            f = pth_root(K, f)
-            e *= K.p
-            continue
-        c = pgcd(K, f, df)
-        w, i = pdivmod(K, f, c)[0], 1
-        while len(w) > 1:
-            y = pgcd(K, w, c)
-            z = pdivmod(K, w, y)[0]
-            if len(z) > 1:
-                parts.append((z, i * e))
-            w, c, i = y, pdivmod(K, c, y)[0], i + 1
-        f = c
-    parts.sort(key=lambda gm: gm[1])
-    return parts
+    """Split monic f into coprime squarefree parts: f = prod g^m, m distinct,
+    sorted by m, each g the product of the irreducible factors of f of
+    multiplicity m.
+
+    Yun's algorithm, made to work in characteristic p.  With c = gcd(f, f'),
+    b = f/c and d = f'/c - b', the loop a = gcd(b, d), b <- b/a,
+    d <- d/a - b' yields a_r, r = 1, 2, ..., the product of the factors whose
+    multiplicity is r mod p.  What is left, f / prod a_r^r = c / prod
+    a_r^(r-1), is a p-th power h^p; h is split the same way, and a factor of
+    multiplicity r + p*j is gcd(a_r, h_j).
+    """
+    f = list(f)
+    if len(f) < 2:
+        return []
+    df = _pderiv(K, f)
+    c = pgcd(K, f, df)
+    if len(c) == 1:
+        return [(f, 1)]
+    b = pdivmod(K, f, c)[0]
+    d = psub(K, pdivmod(K, df, c)[0], _pderiv(K, b))
+    parts, r = [], 0
+    while len(b) > 1:
+        r += 1
+        a = pgcd(K, b, d)
+        b = pdivmod(K, b, a)[0]
+        d = psub(K, pdivmod(K, d, a)[0], _pderiv(K, b))
+        if len(a) > 1:
+            parts.append((a, r))
+    out = []
+    if sum(r * (len(a) - 1) for a, r in parts) < len(f) - 1:
+        below = [K.one]
+        for a, r in parts:
+            if r > 1:
+                below = pmul(K, below, _power(a, r - 1, lambda x, y: pmul(K, x, y)))
+        for h, j in squarefree_parts(K, pth_root(K, pdivmod(K, c, below)[0])):
+            for i, (a, r) in enumerate(parts):
+                g = pgcd(K, a, h)
+                if len(g) > 1:
+                    out.append((g, r + K.p * j))
+                    parts[i] = pdivmod(K, a, g)[0], r
+                    h = pdivmod(K, h, g)[0]
+            if len(h) > 1:
+                out.append((h, K.p * j))
+    out += [(a, r) for a, r in parts if len(a) > 1]
+    out.sort(key=lambda gm: gm[1])
+    return out
 
 
 def distinct_degree_parts(K: Field, f: Sequence) -> List[Tuple[List, int]]:

@@ -23,6 +23,17 @@ divides V_R.
 
 value_at_prime reads the value of P(theta) at a finished prime off the same
 polygons, so the index, the discriminant and the generators share one route.
+
+Each reader expands only the digits that can reach what it reads, so the
+work of a branch follows its multiplicity, not deg f.  The splitting loop
+reads the digits 0..mult of f: the principal part of the polygon of a
+branch of multiplicity mult ends at abscissa mult (the loop checks its
+width), every later point lies on or above the hull there, and so the
+sides, the index region and the residuals are those of the whole
+expansion.  contact reads the digits 0 and 1, where the one side of a
+complete branch lies.  value_at_prime splits off one digit at a time and
+stops once no later digit can reach the least term.  v alone reads every
+digit: a coefficient of degree below m_R has few.
 """
 
 from __future__ import annotations
@@ -181,14 +192,18 @@ class Type:
 
     # --- the working polygon ---
 
-    def newton_data(self, P: IntPolynomial) -> Tuple[Dict[int, Reading], Dict[int, int]]:
-        """Readings of the coefficients of P along the pending modulus, by
-        abscissa, and the polygon ordinates they give."""
+    def newton_data(
+        self, P: IntPolynomial, top: Optional[int] = None
+    ) -> Tuple[Dict[int, Reading], Dict[int, int]]:
+        """Readings of the coefficients a_0, ..., a_top of P along the pending
+        modulus (all of them without top), by abscissa, and the polygon
+        ordinates they give."""
         W = self.order + 1
         _, _, VW = self.order_data(W)
         readings: Dict[int, Reading] = {}
         cloud: Dict[int, int] = {}
-        for j, a in enumerate(phi_expand(P, self.phi)):
+        digits = None if top is None else top + 1
+        for j, a in enumerate(phi_expand(P, self.phi, digits)[:digits]):
             if not a.is_zero:
                 readings[j] = r = self.v(a, W)
                 cloud[j] = r[0] + j * VW
@@ -302,16 +317,15 @@ def contact(tipo: Type, f: IntPolynomial) -> Optional[Tuple[int, object]]:
     divides f.
 
     Along the pending modulus phi of a complete branch the polygon is one
-    side of width one, and H is the contact: v(phi(theta)) = V + H.
+    side of width one, and H is the contact: v(phi(theta)) = V + H.  That
+    side ends at abscissa 1, so only the digits 0 and 1 of f are read.
     """
-    readings, cloud = tipo.newton_data(f)
+    readings, cloud = tipo.newton_data(f, 1)
     if 0 not in cloud:
         return None
     sides = principal_sides(sorted(cloud.items()))
-    if len(sides) != 1:
-        raise InvariantViolation("polygon of f with more than one side")
-    if sides[0].width != 1:
-        raise InvariantViolation("complete branch with a non-unit polygon of f")
+    if not sides:
+        raise InvariantViolation("polygon of f does not fall from abscissa 0 to 1")
     res = tipo.residual_on_side(sides[0], readings, cloud)
     fld = tipo.order_data(tipo.order + 1)[0]
     return sides[0].height, fld.mul(res[0], fld.inv(res[1]))
@@ -349,10 +363,14 @@ def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
 
     Expand P along the record's modulus; every expansion term has a known
     exact value, so the minimum is the answer whenever it is attained once.
-    A tie could hide cancellation, so the modulus is refined along the
-    one-step polygon of f, raising its own value by at least one per round,
-    until the minimum separates.  The contact of each modulus comes with the
-    residual root that refines it, so f is expanded once per modulus.
+    The digits are split off one at a time.  Digit j has value at least j*V
+    at order W, so its term is at least j*(V + H); once that passes the least
+    term so far, no later digit can attain or tie the minimum, and the
+    expansion stops.  A tie could hide cancellation, so the modulus is
+    refined along the one-step polygon of f, raising its own value by at
+    least one per round, until the minimum separates.  The contact of each
+    modulus comes with the residual root that refines it, so f is expanded
+    once per modulus.
     """
     if P.is_zero:
         raise ZeroAtTheta("the zero polynomial has no valuation")
@@ -360,15 +378,23 @@ def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
     prev_h = 0
     rounds = 0
     while True:
-        _, cloud = T.newton_data(P)
+        W = T.order + 1
         if touch is None:
             # the modulus is the exact component factor; only j = 0 survives
             record.value_type = T, touch
-            if 0 not in cloud:
+            a = phi_expand(P, T.phi, 1)[0]
+            if a.is_zero:
                 raise ZeroAtTheta("vanishes identically on the prime's component")
-            return cloud[0]
+            return T.v(a, W)[0]
         H, c = touch
-        vals = [u + j * H for j, u in cloud.items()]
+        step = T.order_data(W)[2] + H
+        vals, j, rest = [], 0, [P]
+        while rest and (not vals or j * step <= min(vals)):
+            # digit j, then what is left of P to expand, if anything
+            a, *rest = phi_expand(rest[0], T.phi, 1)
+            if not a.is_zero:
+                vals.append(T.v(a, W)[0] + j * step)
+            j += 1
         best = min(vals)
         if vals.count(best) == 1:
             record.value_type = T, touch
@@ -376,7 +402,7 @@ def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
         if H <= prev_h:
             raise InvariantViolation("refinement failed to raise the contact")
         prev_h = H
-        fld = T.order_data(T.order + 1)[0]
+        fld = T.order_data(W)[0]
         T = T.refined(H, [c, fld.one], 1)
         touch = contact(T, f)
         rounds += 1

@@ -162,16 +162,24 @@ def maximal_at(f, phi, p):
     return [r // p for r in _zp_divmod(_zp_reduce(f.coeffs, q), _zp_divisor(phi.coeffs, q), q)[1]]
 
 
-def phi_expand(P, phi):
+def phi_expand(P, phi, digits=None):
     """phi-adic expansion: the list [a_0, a_1, ...] with P = sum a_i phi^i and
-    deg a_i < deg phi.  phi must be monic of degree >= 1."""
+    deg a_i < deg phi.  phi must be monic of degree >= 1.
+
+    With a bound, only the first `digits` digits are split off, one division
+    each, and the rest P div phi^digits follows them when it is nonzero, so
+    that P = sum a_i phi^i still holds.  Every reader of a polygon passes the
+    bound past which no digit can reach what it reads.
+    """
     if phi.degree < 1:
         raise InvariantViolation("expansion modulus must have degree >= 1")
     out = []
     cur = P
-    while not cur.is_zero:
+    while not cur.is_zero and len(out) != digits:
         cur, rem = cur.divmod_monic(phi)
         out.append(rem)
+    if not cur.is_zero:
+        out.append(cur)
     if not out:
         out.append(IntPolynomial())
     return out

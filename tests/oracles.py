@@ -4,7 +4,7 @@ Most of these are written head-on from the defining property (determinants,
 brute-force lattice counts, Dedekind's criterion over a brute-force
 factorization mod p, the tame discriminant identity), without reusing the
 package's algorithms, so a bug would have to appear twice, in two very
-different shapes, to go unseen.  Three are weaker:
+different shapes, to go unseen.  Four are weaker:
 
 - is_irreducible is Rabin's test.  It shares the package's F_q polynomial
   arithmetic but none of the factorization, so it checks what factor()
@@ -15,6 +15,11 @@ different shapes, to go unseen.  Three are weaker:
 - full_cofactor_euclid is the program's own earlier p-adic Euclid, which
   kept every cofactor row at the full precision.  It checks that cutting
   the cofactors short changes no digit the caller reads.
+- full_contact and full_value_at_prime are the program's own earlier
+  readings of a finished prime, off every phi-adic digit of f and of P.
+  They check that reading only the digits that can reach the polygon
+  changes nothing, and full_contact keeps the check that the polygon of f
+  along a complete branch is exactly one side, of width one.
 
 TowerField is the reference for the residue fields of montes.ffield: each
 level a tuple of coordinates over the level below, every operation recursing
@@ -26,6 +31,7 @@ from math import gcd
 
 from montes.driver import factor_prime
 from montes.ffield import _zp_divmod, _zp_mul, _zp_reduce, pgcd, pmod, pmonic, ppowmod, psub, ptrim
+from montes.polygon import principal_sides
 from montes.zpoly import IntPolynomial, pval
 
 
@@ -372,6 +378,39 @@ def tame_disc_check(disc_v, p, index, primes):
         raise NotApplicable("wild ramification")
     rhs = 2 * index + sum((e - 1) * fd for e, fd in primes)
     return disc_v, rhs
+
+
+def full_contact(tipo, f):
+    """types.contact off the whole expansion of f along the pending modulus,
+    which must give exactly one side, of width one, unless the modulus
+    divides f."""
+    readings, cloud = tipo.newton_data(f)
+    if 0 not in cloud:
+        return None
+    sides = principal_sides(sorted(cloud.items()))
+    assert len(sides) == 1 and sides[0].width == 1, "not one side of width one"
+    res = tipo.residual_on_side(sides[0], readings, cloud)
+    fld = tipo.order_data(tipo.order + 1)[0]
+    return sides[0].height, fld.mul(res[0], fld.inv(res[1]))
+
+
+def full_value_at_prime(tipo, P, f):
+    """types.value_at_prime from the complete branch tipo, off every digit of
+    P along each modulus; None when P vanishes on the prime's component."""
+    touch, prev_h = full_contact(tipo, f), 0
+    while True:
+        _, cloud = tipo.newton_data(P)
+        if touch is None:
+            return cloud.get(0)
+        H, c = touch
+        vals = [u + j * H for j, u in cloud.items()]
+        best = min(vals)
+        if vals.count(best) == 1:
+            return best
+        assert H > prev_h, "refinement failed to raise the contact"
+        prev_h = H
+        tipo = tipo.refined(H, [c, tipo.order_data(tipo.order + 1)[0].one], 1)
+        touch = full_contact(tipo, f)
 
 
 def refinement_equivalence_check(f, p):

@@ -398,6 +398,82 @@ def test_flat_field_matches_tower_oracle(p, degs, seed):
     assert r1.getstate() == r2.getstate()
 
 
+@pytest.mark.parametrize("p, degs", [(2, (2,)), (13, (2,)), (3, (3,)), (2, (4,)), (5, (5,)), (3, (2, 3))])
+def test_linear_extension_is_the_field_itself(p, degs):
+    # F[y]/(y + c) is F: extend keeps F's modulus and basis, where the
+    # primitive-element search builds another basis of the same field.
+    # Coordinates, keys, products, inverses and the rng stream agree.
+    rng = random.Random(p * len(degs) + math.prod(degs))
+    _, F = _random_towers(p, degs, rng)
+    c = F.rand(rng)
+    new, old = F.extend([c, F.one]), F._primitive([c, F.one], 1)
+    old.y = old.embed([F.neg(c)])
+    assert (new.M, new._to, new._from) == (F.M, None, None)
+    assert (new.level, new.D, new.q) == (old.level, old.D, old.q)
+    assert new.coords(new.y) == old.coords(old.y) == [F.neg(c)]
+    for _ in range(12):
+        a, b = F.rand(rng), F.rand(rng)
+        xa, xb, ya, yb = new.embed([a]), new.embed([b]), old.embed([a]), old.embed([b])
+        assert new.coords(xa) == old.coords(ya) == [a]
+        assert new.key(xa) == old.key(ya)
+        assert new.coords(new.mul(xa, xb)) == old.coords(old.mul(ya, yb))
+        if a:
+            assert new.coords(new.inv(xa)) == old.coords(old.inv(ya))
+    r1, r2 = random.Random(5), random.Random(5)
+    assert [new.coords(new.rand(r1)) for _ in range(8)] == [old.coords(old.rand(r2)) for _ in range(8)]
+    assert r1.getstate() == r2.getstate()
+
+
+# --- squarefree parts: Yun's algorithm against Musser's loop ---
+
+SQUAREFREE_FIELDS = (
+    (TowerField(2), F2),
+    (TowerField(3), Field(3)),
+    (TowerField(13), F13),
+    (TowerField(2).extend([1, 1, 0, 1]), F8),
+)
+
+
+def _oracle_squarefree_parts(T, F, f):
+    parts = T._squarefree_parts([_nested(F, c) for c in f])
+    return [([_flat(F, c) for c in g], m) for g, m in parts]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, len(SQUAREFREE_FIELDS) - 1),
+    st.lists(st.tuples(st.integers(1, 2), st.integers(0, 6)), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_squarefree_parts_matches_musser(which, factors, seed):
+    # products of g_i^m_i with m_i in {1, 2, p-1, p, p+1, 2p+3, p^2}: p + 1
+    # has two nonzero base-p digits, and so has 2p + 3 for p > 3
+    T, F = SQUAREFREE_FIELDS[which]
+    p, rng = F.p, random.Random(seed)
+    f = [F.one]
+    for deg, k in factors:
+        m = (1, 2, p - 1, p, p + 1, 2 * p + 3, p * p)[k]
+        if len(f) - 1 + m * deg > 360:
+            continue
+        g = [F.rand(rng) for _ in range(deg)] + [F.one]
+        for _ in range(m):
+            f = pmul(F, f, g)
+    assert squarefree_parts(F, f) == _oracle_squarefree_parts(T, F, f)
+
+
+def test_squarefree_parts_of_a_multiplicity_with_two_digits():
+    # 120 = 9*13 + 3, as in multi-branch:3's residual powers at 13
+    T, F = SQUAREFREE_FIELDS[2]
+    lin = [poly(F, [-c, 1]) for c in (1, 2, 3)]
+    quad = poly(F, [2, 0, 1])  # y^2 + 2, irreducible: -2 is no square mod 13
+    f = [F.one]
+    for g, m in ((lin[0], 120), (lin[1], 120), (lin[2], 3), (quad, 13)):
+        for _ in range(m):
+            f = pmul(F, f, g)
+    want = [(lin[2], 3), (quad, 13), (pmul(F, lin[0], lin[1]), 120)]
+    assert squarefree_parts(F, f) == want == _oracle_squarefree_parts(T, F, f)
+
+
 # --- the prime-field kernel against IntPolynomial arithmetic over Z ---
 
 KERNEL_PRIMES = (2, 3, 13, 1009, 2**61 - 1)

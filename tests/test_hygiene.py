@@ -2,9 +2,9 @@
 package, no package code that only the tests call, no slot or dataclass
 field that nothing reads, package imports at the top of their modules, no
 work at import time, one powering loop, input errors raised only where input
-arrives, no error class that nothing raises, and no exception raised outside
-errors.py's classes.  All ten are read off the syntax tree, so no linter is
-needed."""
+arrives, no error class that nothing raises, no exception raised outside
+errors.py's classes, and no phi-adic expansion without a digit bound outside
+Type.v.  All eleven are read off the syntax tree, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -248,3 +248,27 @@ def test_the_package_raises_only_its_own_errors():
     # AttributeError of IntPolynomial's immutability, the language's own.
     found = [(module, fn, name) for module, fn, cls, name in raised_exceptions() if not cls]
     assert found == [("zpoly.py", "__setattr__", "AttributeError")]
+
+
+def test_every_expansion_has_a_digit_bound():
+    # A polygon reader expands only the digits that can reach what it reads
+    # (types.py's docstring says which); phi_expand or newton_data without
+    # a bound expands every digit.  Type.v alone reads every digit, of a
+    # coefficient of degree below the modulus it expands along.
+    arity = {"phi_expand": 3, "newton_data": 2}
+    found = []
+
+    def visit(node, module, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in arity and len(child.args) + len(child.keywords) < arity[name]:
+                    found.append((module, fn, name))
+            visit(child, module, fn)
+
+    for path in PACKAGE:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    assert found == [("types.py", "v", "phi_expand")]

@@ -154,9 +154,9 @@ def test_no_expansion_along_a_dedekind_modulus(monkeypatch):
     expanded = []
     newton_data = Type.newton_data
 
-    def recorded_newton_data(self, P):
+    def recorded_newton_data(self, P, *bound):
         expanded.append((self.order, self.phi))
-        return newton_data(self, P)
+        return newton_data(self, P, *bound)
 
     monkeypatch.setattr(Type, "newton_data", recorded_newton_data)
     for text, p in (("x^30-14", 3), ("x^4-10", 5)):

@@ -5,14 +5,16 @@ import pytest
 from montes import driver, types
 from montes.cli import parse_poly
 from montes.driver import disc_valuation, factor_prime
-from montes.errors import InvariantViolation, UnliftableTarget
+from montes.corpus import multi_branch, random_tower, tower_phi
+from montes.errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
 from montes.ffield import factor as ffactor
 from montes.idealgen import compute_generators
-from montes.polygon import principal_sides
+from montes.polygon import cut_sides, principal_sides, region_index
 from montes.types import Type, complete_branch, value_at_prime
 from montes.zpoly import IntPolynomial, is_squarefree
 
-from .oracles import NotApplicable, tame_disc_check
+from .oracles import NotApplicable, full_contact, full_value_at_prime, tame_disc_check
+from .test_pinned_outputs import A2
 from .test_zpoly import F12
 
 X = IntPolynomial([0, 1])
@@ -46,6 +48,14 @@ def test_order_zero_polygon_of_x2_plus_2():
     assert res == [t.F1.one, t.F1.one]  # y + 1
     rep = t.representative(1, 2, res)
     assert rep == IntPolynomial([2, 0, 1])
+
+
+def test_contact_names_a_polygon_that_does_not_fall_to_abscissa_one():
+    # contact reads the digits 0 and 1 of f; along x, the polygon of x^2 + 2
+    # at 2 is one side from (0, 1) to (2, 0), with no point at abscissa 1
+    t = Type.order_zero(2, [0, 1], 2)
+    with pytest.raises(InvariantViolation, match="does not fall from abscissa 0 to 1"):
+        types.contact(t, IntPolynomial([2, 0, 1]))
 
 
 def test_representative_shifts_constant():
@@ -207,15 +217,15 @@ def test_one_expansion_per_coefficient_and_modulus(monkeypatch):
     expansions = []
     expand = types.phi_expand
 
-    def counted_expand(P, phi):
+    def counted_expand(P, phi, *bound):
         expansions.append((P, phi))
-        return expand(P, phi)
+        return expand(P, phi, *bound)
 
     moduli = []
     newton_data = Type.newton_data
 
-    def counted_newton_data(self, P):
-        out = newton_data(self, P)
+    def counted_newton_data(self, P, *bound):
+        out = newton_data(self, P, *bound)
         if P == F12:
             moduli.append(self.phi)
         return out
@@ -304,3 +314,97 @@ def test_shortcut_builds_the_branch_the_loop_would(monkeypatch):
         assert lhs == rhs, f
         tame += 1
     assert tame >= 10
+
+
+def deep_cases():
+    """The factorizations of the deep-branch benchmark, and seeded inputs
+    with ramified Dedekind primes."""
+    chains = ((3, 2, ((1, 2, 2), (1, 1, 2), (1, 3, 2))),
+              (2, 2, ((1, 2, 3), (1, 1, 2), (1, 3, 1), (1, 1, 2))))
+    return (
+        [(tower_phi(level), 2) for level in range(1, 6)]
+        + [(A2, 2), (multi_branch(1), 13)]
+        + [(random_tower(p, f0, levels, 1), p) for p, f0, levels in chains]
+        + powers_plus_p_multiples(40, 21)
+    )
+
+
+def test_the_loop_reads_what_the_whole_expansion_gives(monkeypatch):
+    # A pop reads the digits 0..mult of f.  The principal part of its
+    # polygon ends at abscissa mult, so the whole expansion gives the same
+    # sides up to there, the same index region and the same residuals.
+    bounded = Type.newton_data
+    dropped = []
+
+    def checked(self, P, top=None):
+        readings, cloud = bounded(self, P, top)
+        all_readings, all_cloud = bounded(self, P)
+        sides = principal_sides(sorted(cloud.items()))
+        full = principal_sides(sorted(all_cloud.items()))
+        assert top == self.mult
+        assert sides == [s for s in full if s.x1 <= top]
+        assert cut_sides(sides, self.cut_h) == cut_sides(full, self.cut_h)
+        assert region_index(sides, self.cut_h) == region_index(full, self.cut_h)
+        for side in cut_sides(sides, self.cut_h):
+            assert self.residual_on_side(side, readings, cloud) == self.residual_on_side(
+                side, all_readings, all_cloud
+            )
+        dropped.append(len(all_cloud) - len(cloud))
+        return readings, cloud
+
+    monkeypatch.setattr(Type, "newton_data", checked)
+    for f, p in deep_cases():
+        factor_prime(f, p)
+    assert len(dropped) > 50 and sum(dropped) > 100
+
+
+def test_a_finished_prime_reads_what_the_whole_expansion_gives():
+    # contact reads the digits 0 and 1 of f, and value_at_prime stops
+    # expanding P once no later digit can reach the minimum; the readings
+    # off every digit agree, and the polygon along a complete branch's
+    # modulus is one side of width one.
+    cases = deep_cases() + [(parse_poly("x^30-14"), 3), (parse_poly("x^60-14"), 5)]
+    read = 0
+    for f, p in cases:
+        run = factor_prime(f, p)
+        polys = [f.derivative()] + [alpha.num for alpha in compute_generators(run)]
+        for rec in run.primes:
+            T, touch = complete_branch(rec, f, p)
+            assert touch == full_contact(T, f)
+            for P in polys:
+                try:
+                    got = value_at_prime(rec, P, f, p)
+                except ZeroAtTheta:
+                    got = None
+                assert got == full_value_at_prime(T, P, f)
+                read += 1
+    assert read > 250
+
+
+def test_the_loop_expands_f_no_further_than_the_multiplicity(monkeypatch):
+    # multi-branch:3 has three branches of degree 120 inside a degree-360 f;
+    # a pop divides f by its modulus at most mult + 1 times, for the digits
+    # 0..mult, and never all deg f / deg phi times.
+    f = multi_branch(3)
+    divisors = []
+    divmod_monic = IntPolynomial.divmod_monic
+
+    def counted(self, phi):
+        divisors.append(phi)
+        return divmod_monic(self, phi)
+
+    newton_data = Type.newton_data
+    excess = []
+
+    def measured(self, P, *bound):
+        phi = self.phi
+        divisors.clear()
+        out = newton_data(self, P, *bound)
+        if P == f:
+            excess.append(divisors.count(phi) - (self.mult + 1))
+        return out
+
+    monkeypatch.setattr(IntPolynomial, "divmod_monic", counted)
+    monkeypatch.setattr(Type, "newton_data", measured)
+    factor_prime(f, 13)
+    assert excess and max(excess) <= 0

@@ -105,6 +105,20 @@ def test_phi_expand_roundtrip(a, tail):
     assert acc == a
 
 
+@given(small_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=3), st.integers(0, 6))
+def test_phi_expand_with_a_bound(a, tail, digits):
+    # the first `digits` digits of the whole expansion, then the rest P div
+    # phi^digits when it is nonzero: the sum still gives P back
+    phi = IntPolynomial(tail + [1])
+    parts = phi_expand(a, phi, digits)
+    assert parts[:digits] == phi_expand(a, phi)[:digits]
+    assert len(parts) <= digits + 1
+    acc = IntPolynomial()
+    for i, part in enumerate(parts):
+        acc = acc + part * phi ** i
+    assert acc == a
+
+
 def test_phi_expand_pinned_example():
     # (x^2+4x+16)-adic digits of phi^2 + 2^4*x*phi + 2^12.
     phi = IntPolynomial([16, 4, 1])
