@@ -85,9 +85,13 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")
-        if (self.pos - start) * math.log2(10) > _MAX_BITS:
+        if _too_long(self.pos - start):
             self.fail("number too long", start)
         return int(self.text[start : self.pos])
+
+
+def _too_long(digits: int) -> bool:
+    return digits * math.log2(10) > _MAX_BITS
 
 
 def _shape(f: IntPolynomial) -> Tuple[int, float]:
@@ -177,12 +181,20 @@ def parse_poly(text: str) -> IntPolynomial:
 
 
 def parse_coeffs(text: str) -> IntPolynomial:
-    """One decimal coefficient per line, degree-descending."""
+    """One decimal coefficient per line, degree-descending, within the
+    expression grammar's bounds on the degree and on a number's length."""
     _lift_digit_limit()
     rows = [ln.strip() for ln in text.splitlines()]
     rows = [ln for ln in rows if ln]
     if not rows:
         raise InputError("empty coefficient list")
+    if len(rows) > _MAX_DEGREE + 1:
+        raise InputError(f"more than {_MAX_DEGREE + 1} coefficient lines")
+    for ln in rows:
+        if "_" in ln:
+            raise InputError(f"bad coefficient line: '_' in {ln[:20]!r}")
+        if _too_long(len(ln) - (ln[0] in "+-")):
+            raise InputError("number too long")
     try:
         desc = [int(ln, 10) for ln in rows]
     except ValueError as exc:

@@ -152,11 +152,12 @@ def tower_phi(level: int) -> IntPolynomial:
         w(208) * (x + w(2)) * (p1 + w(6)) * p2**2 * p3
         + w(249) * (p1 + w(4) * x) * p2**3
     )
+    p5_2, p5_5, p7_3 = p5**2, p5**5, p7**3
     return (
-        p7**6
-        + w(7515) * (a * p5**5 + w(924) * b * p5**2) * p6 * p7**3
-        + w(20618) * c * p5**5
-        + w(21567) * d * p5**2
+        p7_3**2
+        + w(7515) * (a * p5_5 + w(924) * b * p5_2) * p6 * p7_3
+        + w(20618) * c * p5_5
+        + w(21567) * d * p5_2
     )
 
 

@@ -5,7 +5,8 @@ valuations (always integers in the scale of the working valuation).  A side
 of slope -h/e carries h and e in lowest terms, so slopes are compared with
 integers only.  A "principal" polygon keeps only the sides of strictly
 negative slope, ordered by increasing slope, which is how they come off the
-lower convex hull.
+lower convex hull.  Its index is the paper's count of the lattice points
+on or under it, taken column by column.
 """
 
 from dataclasses import dataclass, field
@@ -80,43 +81,21 @@ def cut_sides(sides, hcut):
     return [s for s in sides if s.h > hcut * s.e]
 
 
-def polygon_index(sides):
-    """Lattice points below or on the polygon, strictly above the horizontal
-    through its last point, in columns after the first vertex.
-
-    Computed by the closed formula sum (E_i H_i - E_i - H_i + d_i)/2 over the
-    sides plus the cross terms sum_{i<j} E_i H_j.
-    """
-    total = 0
-    for i, s in enumerate(sides):
-        E, H, d = s.width, s.height, s.steps
-        t = E * H - E - H + d
-        if t % 2:
-            raise InvariantViolation("odd lattice-point count on a side")
-        total += t // 2
-        for later in sides[i + 1:]:
-            total += E * later.height
-    return total
-
-
 def region_index(sides, hcut):
-    """Exact count of lattice points (x, y) with x >= 1 lying below or on the
-    cut polygon and strictly above the line of slope -hcut through its last
-    point.
-
-    When the polygon starts at abscissa 0 this is the index of the cut
-    polygon minus the triangle hcut*l*(l-1)/2, l the width of the cut.  When
-    it starts at abscissa 1 (the expansion modulus divides the polynomial)
-    the column x = 1 contributes its full height.
+    """Lattice points (x, y) with x >= 1 lying below or on the cut polygon
+    and strictly above the line of slope -hcut through its last point,
+    counted column by column.  The polygon starts at abscissa 1 when the
+    expansion modulus divides the polynomial; column 1 then counts in full.
     """
     cut = cut_sides(sides, hcut)
     if not cut:
         return 0
-    x0, y0 = cut[0].x0, cut[0].y0
-    xt, yt = cut[-1].x1, cut[-1].y1
-    if x0 > 1:
+    if cut[0].x0 > 1:
         raise InvariantViolation("cut polygon starts past abscissa 1")
-    base = polygon_index(cut)
-    col = (y0 - yt) if x0 == 1 else 0
-    j = xt - max(1, x0)
-    return base + col - hcut * j * (j + 1) // 2
+    xt, yt = cut[-1].x1, cut[-1].y1
+    total, x = 0, 1
+    for s in cut:
+        while x <= s.x1:
+            total += s.y0 + s.h * (s.x0 - x) // s.e - yt - hcut * (xt - x)
+            x += 1
+    return total

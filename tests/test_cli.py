@@ -21,7 +21,7 @@ from montes.cli import (
     poly_to_expr,
 )
 from montes.corpus import multi_branch, quartic_refine, random_tower, tower_phi
-from montes.errors import ParseError
+from montes.errors import InputError, ParseError
 from montes.types import Type
 from montes.zpoly import IntPolynomial, X, pval
 
@@ -339,6 +339,32 @@ def test_parse_limits():
         assert err.value.offset == offset, text
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1\n" * 100_002, "more than 100001 coefficient lines"),
+        ("1\n" + "0\n" * 200_000 + "1", "more than 100001 coefficient lines"),
+        ("1" * 315_653, "number too long"),
+        ("1\n-" + "9" * 400_000, "number too long"),
+        ("1_000\n1", "bad coefficient line: '_' in '1_000'"),
+    ],
+    ids=["lines-100002", "degree-200001", "digits-315653", "digits-400000-signed", "underscore"],
+)
+def test_coeffs_limits_exit_2_before_converting(capsys, text, message):
+    # The coefficient format is held to the expression grammar's bounds on
+    # the degree and on a number's length, and reads no '_' between digits.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "factor", "--prime", "2", "--poly", text, "--format", "coeffs")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_coeffs_limits_edges_parse():
+    assert parse_coeffs("1" * 315_652).coeffs[0].bit_length() == 1_048_571
+    assert parse_coeffs("1\n" + "0\n" * 99_999 + "1").degree == 100_000
+
+
 _ATOMS = st.sampled_from(["x", "0", "1", "2", "13", "99"])
 _GRAMMAR = st.recursive(
     _ATOMS,
@@ -364,13 +390,52 @@ def test_factor_exit_code_contract(text, prime, flags):
         assume(parse_poly(text).degree <= 100)
     except ParseError:
         pass
+    assert _exit_code(["factor", "--prime", prime, "--poly", text, *flags]) in (0, 2, 3)
+
+
+def _exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["factor", "--prime", prime, "--poly", text, *flags])
+            return main(argv)
         except SystemExit as exc:  # argparse rejects text that looks like an option
-            code = exc.code
-    assert code in (0, 2, 3)
+            return exc.code
+
+
+_COEFF = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(0, 99).map(lambda n: f"+{n}"),
+    st.just(""),
+    # a leading 1 over a block of zeros: x^n, the degree the skip is for
+    st.integers(0, 150).map(lambda n: "\n".join(["1"] + ["0"] * n)),
+)
+_COEFF_JUNK = st.one_of(
+    st.sampled_from([" ", "_", "+", "-", "1_000", "x", "7a", "--3", "+-1"]),
+    st.text(alphabet="0123456789+-_x ", max_size=8),
+)
+# an optional monic head, then coefficient lines with at most one junk line
+_COEFF_TEXT = st.tuples(
+    st.sampled_from([[], ["1"]]),
+    st.lists(_COEFF, max_size=4),
+    st.lists(_COEFF_JUNK, max_size=1),
+    st.lists(_COEFF, max_size=4),
+).map(lambda parts: "\n".join(sum(parts, [])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _COEFF_TEXT,
+    st.sampled_from(["2", "3", "13", "4"]),
+    st.sampled_from([(), ("--disc",), ("--json", "--disc")]),
+)
+def test_factor_coeffs_exit_code_contract(text, prime, flags):
+    # The coefficient reader's twin of the expression fuzz above.
+    try:
+        assume(parse_coeffs(text).degree <= 100)
+    except InputError:
+        pass
+    argv = ["factor", "--prime", prime, "--poly", text, "--format", "coeffs", *flags]
+    assert _exit_code(argv) in (0, 2, 3)
 
 
 def test_factor_disc_multi_branch(capsys):

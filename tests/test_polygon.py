@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from montes.polygon import (
     Side,
     cut_sides,
     lower_hull,
-    polygon_index,
     principal_sides,
     region_index,
 )
@@ -29,7 +29,7 @@ def test_hull_and_principal_pinned():
     sides = principal_sides(cloud)
     assert [(s.x0, s.y0, s.x1, s.y1) for s in sides] == [(0, 3, 1, 1), (1, 1, 2, 0)]
     assert [(s.h, s.e) for s in sides] == [(2, 1), (1, 1)]
-    assert polygon_index(sides) == 1
+    assert region_index(sides, 0) == 1
     assert lattice_index_oracle(vertices_of(sides)) == 1
 
 
@@ -59,16 +59,15 @@ def test_cut_and_region_index_pinned():
 def test_one_sided_examples():
     # (0,4) -> (2,0): two interior columns hold 2 points
     sides = principal_sides([(0, 4), (2, 0)])
-    assert polygon_index(sides) == 2
+    assert region_index(sides, 0) == 2
     assert lattice_index_oracle([(0, 4), (2, 0)]) == 2
     # H = 1 side is index-free
-    assert polygon_index(principal_sides([(0, 1), (3, 0)])) == 0
+    assert region_index(principal_sides([(0, 1), (3, 0)]), 0) == 0
 
 
 def test_region_index_start_at_one():
     # cloud without abscissa 0: the column x = 1 counts fully
     sides = principal_sides([(1, 3), (2, 1), (3, 0)])
-    assert polygon_index(sides) == 1
     assert region_index(sides, 0) == 1 + 3
     assert lattice_index_oracle(vertices_of(sides), 0) == 4
 
@@ -96,6 +95,28 @@ def test_region_matches_oracle_randomized():
             got = region_index(sides, h)
             want = lattice_index_oracle(vertices_of(cut), h)
             assert got == want, (cloud, h, got, want)
+
+
+def test_region_matches_oracle_on_every_small_cloud():
+    # One point per column, ordinates 0..5, widths 1..5, starting at
+    # abscissa 0 or 1: every principal polygon in that box is the hull of
+    # such a cloud, since a column off its vertices can take the ceiling of
+    # the polygon's height there.
+    polygons = {}
+    for x0 in (0, 1):
+        for width in range(1, 6):
+            for ys in itertools.product(range(6), repeat=width + 1):
+                sides = principal_sides(list(zip(range(x0, x0 + width + 1), ys)))
+                polygons[tuple(vertices_of(sides))] = sides
+    for sides in polygons.values():
+        for h in (0, 1, 2, 3):
+            want = lattice_index_oracle(vertices_of(cut_sides(sides, h)), h)
+            assert region_index(sides, h) == want, (vertices_of(sides), h)
+
+
+def test_region_index_refuses_a_start_past_one():
+    with pytest.raises(InvariantViolation, match="past abscissa 1"):
+        region_index(principal_sides([(2, 3), (3, 0)]), 0)
 
 
 def test_empty_cloud_raises():
