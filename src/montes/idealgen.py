@@ -81,42 +81,48 @@ def _powmod(a: Sequence[int], k: int, m: Sequence[int], q: int) -> List[int]:
 def _euclid(
     a: List[int], m: List[int], p: int, N: int, A: int
 ) -> Optional[Tuple[Optional[List[int]], int]]:
-    """y, w with y*a = p^w (mod m, p^(w+A)); (None, w) when N < 2w + 2,
-    too coarse to certify w; None when p^N is too coarse to find a w.
+    """y, w with y*a = p^w (mod m, p^(w+A)); (None, n) when p^N is too
+    coarse to certify w and p^n would do; None when it is too coarse to find
+    a w.
 
     a and m are reduced mod p^N and m is monic.  Every row keeps
-    s*a = p^e*r (mod m), r of p-content one and known only mod p^(N-e), so
-    a coefficient that vanishes there is dropped.  A remainder is divided by
-    the unit part of the divisor's leading coefficient, and scaled by p
-    wherever its own leading coefficient is less divisible; the scaling lands
-    on the older row, whose e is smaller.  The remainders alone fix the
-    quotients and w.  A cofactor is a sum of older cofactors times quotients
-    and powers of p, so it is kept mod p^M, M = (N-2)//2 + A, and is right
-    mod p^(w+A) for every w that N certifies.  Once e passes (N-2)//2, which
-    w >= e then does too, the cofactors are dropped.
+    s*a = p^e*r (mod m), r of p-content one and known mod p^P: P is N at the
+    start, less the content split off, more by a scaling p^s (up to N), and
+    after a quotient digit lead/p^v, known to v digits fewer, at most P - v
+    and the divisor's P.  A leading coefficient that vanishes mod p^P is
+    unknown and dropped, which leaves the identity exact only mod p^(e+P),
+    and K, the precision that certifies, follows it.  A remainder is divided
+    by the unit part of the divisor's leading coefficient, and scaled by p
+    wherever its own leading coefficient is less divisible; the scaling
+    lands on the older row, whose e is smaller.  The remainders alone fix
+    the quotients and w.  A cofactor is a sum of older cofactors times
+    quotients and powers of p, so it is kept mod p^((N-2)//2 + A), right mod
+    p^(w+A) for every w that K >= 2w + 2 certifies; once e passes that, the
+    cofactors are dropped.
     """
-    q = p**N
-    cut = (N - 2) // 2
-    qs = p ** (cut + A)
-    r0, s0, e0 = m, [], 0
-    r1, s1, e1 = _zp_divmod(a, m, q)[1], [1], 0
+    q, K, qs = p**N, N, p ** ((N - 2) // 2 + A)
+    r0, s0, e0, P0 = m, [], 0, N
+    r1, s1, e1, P1 = _zp_divmod(a, m, q)[1], [1], 0, N
     while True:
         r1 = _zp_reduce(r1, p ** (N - e1))
+        while r1 and r1[-1] % p ** max(P1, 0) == 0:
+            r1.pop()
+            K = min(K, e1 + P1)
         if not r1:
             return None
         c = pval(gcd(*r1), p)
-        r1, e1 = [x // p**c for x in r1], e1 + c
-        if e1 > cut:
+        r1, e1, P1 = [x // p**c for x in r1], e1 + c, P1 - c
+        if 2 * e1 + 2 > K:
             s1 = None
         if len(r1) == 1:
             if s1 is None:
-                return None, e1
+                return None, 2 * e1 + 2 + N - K
             u = pow(r1[0], -1, qs)
             return _zp_divmod([x * u for x in s1], _zp_reduce(m, qs), qs)[1], e1
         db, v = len(r1) - 1, pval(r1[-1], p)
         pv = p**v
         u = pow(r1[-1] // pv, -1, q)
-        rem, quo, shift = list(r0), [0] * (len(r0) - db), 0
+        rem, quo, shift, P = list(r0), [0] * (len(r0) - db), 0, P0
         for i in range(len(rem) - 1, db - 1, -1):
             lead = rem[i] % q
             if not lead:
@@ -127,8 +133,10 @@ def _euclid(
                 rem = [x * scale % q for x in rem[: i + 1]]
                 quo = [x * scale % q for x in quo]
                 shift += v - t
+                P = min(P + v - t, N)
                 lead = rem[i]
             quo[i - db] = qi = lead // pv * u % q
+            P = min(P - v, P1)
             for j in range(db):
                 rem[i - db + j] -= qi * r1[j]
         s2 = None
@@ -140,8 +148,8 @@ def _euclid(
             for i, x in enumerate(_zp_mul([x % qs for x in quo], s1)):
                 s2[i] -= x
             s2 = _zp_reduce(s2, qs)
-        r0, s0, e0 = r1, s1, e1
-        r1, s1 = rem[:db], s2
+        r0, s0, e0, P0 = r1, s1, e1, P1
+        r1, s1, P1 = rem[:db], s2, P
 
 
 def p_adic_inverse(
@@ -150,13 +158,14 @@ def p_adic_inverse(
     """y, w and N with y*a^k = p^w (mod m, p^(w+A)) and N >= 2w + 2.
 
     m is monic and a^k has no common factor with it over Q.  N starts small
-    and doubles until the Euclid finds a w, then grows to 2w + 2 until the
-    w found certifies it: the Euclid's own cofactor y0 at this N has
-    y0*a^k = p^w (mod m, p^N), so y0/p^w differs from 1/a^k by an element of
-    value at least (N - 2w)*e >= 2e at every prime over p, since a^k has
-    value at most w*e there.  The caller reads the inverse mod p^(w+A), A
-    digits past w, and y is y0 to that precision only.  Since N >= 2w + 2,
-    w + A <= (N-2)//2 + A: the remainders need p^N, the cofactors only that.
+    and doubles until the Euclid finds a w, then grows to the precision it
+    asks for until the w found certifies it: the Euclid's own cofactor y0
+    at this N has y0*a^k = p^w (mod m, p^K), K >= 2w + 2, so y0/p^w differs
+    from 1/a^k by an element of value at least (K - 2w)*e >= 2e at every
+    prime over p, since a^k has value at most w*e there.  The caller reads
+    the inverse mod p^(w+A), A digits past w, and y is y0 to that precision
+    only.  Since N >= K >= 2w + 2, w + A <= (N-2)//2 + A: the remainders
+    need p^N, the cofactors only that.
     """
     N = 16
     while True:
@@ -166,7 +175,7 @@ def p_adic_inverse(
         if found is None:
             N *= 2
         elif found[0] is None:
-            N = 2 * found[1] + 2
+            N = found[1]
         else:
             return found[0], found[1], N
 

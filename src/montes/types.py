@@ -21,23 +21,25 @@ polygon at order R is w_R^j times a value depending only on the expansion
 coefficient itself.  The twist exponents are integers because e_{R-1}
 divides V_R.
 
-value_at_prime reads the value of P(theta) at a finished prime off the same
-polygons, so the index, the discriminant and the generators share one route.
+value_at_prime reads the value of P(theta) at a finished prime with the same
+v, one order up, so the index, the discriminant and the generators share
+one route.
 
-Each reader expands only the digits that can reach what it reads, so the
-work of a branch follows its multiplicity, not deg f.  The splitting loop
-reads the digits 0..mult of f: the principal part of the polygon of a
+Every reader expands only the digits that can reach what it reads, so the
+work of a branch follows its multiplicity, not deg f.  phi_expand yields
+one digit per division, and v stops once no later digit can reach its
+least term: the term of digit j is at least j*(e*V + h).  The splitting
+loop reads the digits 0..mult of f: the principal part of the polygon of a
 branch of multiplicity mult ends at abscissa mult (the loop checks its
 width), every later point lies on or above the hull there, and so the
 sides, the index region and the residuals are those of the whole
 expansion.  contact reads the digits 0 and 1, where the one side of a
-complete branch lies.  value_at_prime splits off one digit at a time and
-stops once no later digit can reach the least term.  v alone reads every
-digit: a coefficient of degree below m_R has few.
+complete branch lies.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, UnliftableTarget, ZeroAtTheta
@@ -155,17 +157,22 @@ class Type:
         At R = 1 the terms are the coefficients of P.  Above, they are the
         pairs (j, reading of a_j at R - 1) for the coefficients a_j of the
         phi-adic expansion of P on the line of slope -h/e through v_R(P).
+        The term of digit j is at least j*step, step = e*V + h, so the
+        expansion stops once (j + 1)*step passes the least term so far: no
+        later digit can attain or tie it.
         """
         if P.is_zero:
             raise InvariantViolation("valuation of zero")
         if R == 1:
             return vpoly(P, self.p), P.coeffs
         lvl = self.levels[R - 2]
-        pts = []
+        step, pts = lvl.e * lvl.V + lvl.h, []
         for j, a in enumerate(phi_expand(P, lvl.phi)):
             if not a.is_zero:
                 r = self.v(a, R - 1)
-                pts.append((lvl.e * (r[0] + j * lvl.V) + lvl.h * j, j, r))
+                pts.append((lvl.e * r[0] + j * step, j, r))
+            if pts and (j + 1) * step > min(pts)[0]:
+                break
         u = min(pts)[0]
         return u, [(j, r) for val, j, r in pts if val == u]
 
@@ -203,7 +210,7 @@ class Type:
         readings: Dict[int, Reading] = {}
         cloud: Dict[int, int] = {}
         digits = None if top is None else top + 1
-        for j, a in enumerate(phi_expand(P, self.phi, digits)[:digits]):
+        for j, a in enumerate(islice(phi_expand(P, self.phi), digits)):
             if not a.is_zero:
                 readings[j] = r = self.v(a, W)
                 cloud[j] = r[0] + j * VW
@@ -361,50 +368,42 @@ def complete_branch(record, f: IntPolynomial, p: int) -> Tuple[Type, Optional[Tu
 def value_at_prime(record, P: IntPolynomial, f: IntPolynomial, p: int) -> int:
     """Exact valuation of P(theta) at the record's prime, with v(p) = e.
 
-    Expand P along the record's modulus; every expansion term has a known
-    exact value, so the minimum is the answer whenever it is attained once.
-    The digits are split off one at a time.  Digit j has value at least j*V
-    at order W, so its term is at least j*(V + H); once that passes the least
-    term so far, no later digit can attain or tie the minimum, and the
-    expansion stops.  A tie could hide cancellation, so the modulus is
-    refined along the one-step polygon of f, raising its own value by at
-    least one per round, until the minimum separates.  The contact of each
-    modulus comes with the residual root that refines it, so f is expanded
-    once per modulus.
+    Along a complete branch with contact (H, c), v one order up, on the side
+    of slope -H with residual polynomial y + c, gives every digit of P its
+    exact value, so its least term is the answer when it is attained once.
+    A tie could hide cancellation, so the modulus is refined along that
+    side, raising its own value by at least one per round, until the
+    minimum separates; f is expanded once per modulus, by contact.
+
+    A tie lasts for ever only if P vanishes on the prime's component:
+    otherwise theta is a root of g = f/gcd(f, P), and f_P*v(P(theta)) <=
+    v_p(Res(g, P)), where Hadamard's and Mignotte's bounds give
+    2*log2|Res(g, P)| < deg P*(2n + bitlen|f|^2) + n*bitlen|P|^2.
     """
     if P.is_zero:
         raise ZeroAtTheta("the zero polynomial has no valuation")
     T, touch = record.value_type or complete_branch(record, f, p)
-    prev_h = 0
-    rounds = 0
+    n, prev_h = f.degree, 0
     while True:
         W = T.order + 1
         if touch is None:
             # the modulus is the exact component factor; only j = 0 survives
             record.value_type = T, touch
-            a = phi_expand(P, T.phi, 1)[0]
+            a = next(phi_expand(P, T.phi))
             if a.is_zero:
                 raise ZeroAtTheta("vanishes identically on the prime's component")
             return T.v(a, W)[0]
         H, c = touch
-        step = T.order_data(W)[2] + H
-        vals, j, rest = [], 0, [P]
-        while rest and (not vals or j * step <= min(vals)):
-            # digit j, then what is left of P to expand, if anything
-            a, *rest = phi_expand(rest[0], T.phi, 1)
-            if not a.is_zero:
-                vals.append(T.v(a, W)[0] + j * step)
-            j += 1
-        best = min(vals)
-        if vals.count(best) == 1:
+        one = T.order_data(W)[0].one
+        best, terms = T.extended(H, 1, [c, one], 1).v(P, W + 1)
+        if len(terms) == 1:
             record.value_type = T, touch
             return best
+        f2, P2 = (sum(x * x for x in g.coeffs).bit_length() for g in (f, P))
+        if 2 * record.f * best * (p.bit_length() - 1) >= P.degree * (2 * n + f2) + n * P2:
+            raise ZeroAtTheta("vanishes on the prime's component")
         if H <= prev_h:
             raise InvariantViolation("refinement failed to raise the contact")
         prev_h = H
-        fld = T.order_data(W)[0]
-        T = T.refined(H, [c, fld.one], 1)
+        T = T.refined(H, [c, one], 1)
         touch = contact(T, f)
-        rounds += 1
-        if rounds > 8 * (best + f.degree + 16):
-            raise InvariantViolation("valuation separation did not terminate")

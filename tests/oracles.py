@@ -14,9 +14,12 @@ different shapes, to go unseen.  Four are weaker:
   order, through factor_prime(refine=False).
 - full_cofactor_euclid is the program's own earlier p-adic Euclid, which
   kept every cofactor row at the full precision.  It checks that cutting
-  the cofactors short changes no digit the caller reads.
-- full_contact and full_value_at_prime are the program's own earlier
-  readings of a finished prime, off every phi-adic digit of f and of P.
+  the cofactors short changes no digit the caller reads.  It tracks the
+  precision of each remainder as the program does, so it shares that
+  rule: it is no check on which leading coefficients the Euclid drops.
+- full_v, full_contact and full_value_at_prime are the program's own
+  earlier readings of a polynomial and of a finished prime, off every
+  phi-adic digit of f and of P.
   They check that reading only the digits that can reach the polygon
   changes nothing, and full_contact keeps the check that the polygon of f
   along a complete branch is exactly one side, of width one.
@@ -32,7 +35,7 @@ from math import gcd
 from montes.driver import factor_prime
 from montes.ffield import _zp_divmod, _zp_mul, _zp_reduce, pgcd, pmod, pmonic, ppowmod, psub, ptrim
 from montes.polygon import principal_sides
-from montes.zpoly import IntPolynomial, pval
+from montes.zpoly import IntPolynomial, phi_expand, pval, vpoly
 
 
 class NotApplicable(Exception):
@@ -127,33 +130,40 @@ def powmod_mod_p(a, n, m, p):
 
 
 def full_cofactor_euclid(a, m, p, N):
-    """y, w with y*a = p^w (mod m, p^N), or None when p^N is too coarse:
-    the Euclid of montes.idealgen as it was before its cofactors were cut
-    to the digits the caller reads, every row kept in full mod p^N.
+    """y, w, K with y*a = p^w (mod m, p^K), K <= N, or None when p^N is too
+    coarse: the Euclid of montes.idealgen as it was before its cofactors
+    were cut to the digits the caller reads, every row kept in full mod p^N.
 
     a and m are reduced mod p^N and m is monic.  Every row keeps
-    s*a = p^e*r (mod m, p^N) exactly, with r of p-content one, so r is only
-    known mod p^(N-e) and a coefficient that vanishes there is dropped.  A
-    remainder is divided by the unit part of the divisor's leading
+    s*a = p^e*r (mod m, p^N), with r of p-content one and known mod p^P: P
+    is N at the start, less the content split off, more by a scaling p^s
+    (up to N), and after a quotient digit lead/p^v at most P - v and the
+    divisor's P.  A leading coefficient that vanishes mod p^P is unknown and
+    dropped, which leaves the identity exact only mod p^(e+P), and K follows
+    it.  A remainder is divided by the unit part of the divisor's leading
     coefficient, and scaled by p wherever its own leading coefficient is
     less divisible; the scaling lands on the older row, whose e is smaller.
     """
     q = p**N
-    r0, s0, e0 = m, [], 0
-    r1, s1, e1 = _zp_divmod(a, m, q)[1], [1], 0
+    r0, s0, e0, P0 = m, [], 0, N
+    r1, s1, e1, P1 = _zp_divmod(a, m, q)[1], [1], 0, N
+    K = N
     while True:
         r1 = _zp_reduce(r1, p ** (N - e1))
+        while r1 and r1[-1] % p ** max(P1, 0) == 0:
+            r1.pop()
+            K = min(K, e1 + P1)
         if not r1:
             return None
         c = pval(gcd(*r1), p)
-        r1, e1 = [x // p**c for x in r1], e1 + c
+        r1, e1, P1 = [x // p**c for x in r1], e1 + c, P1 - c
         if len(r1) == 1:
             u = pow(r1[0], -1, q)
-            return _zp_divmod([x * u for x in s1], m, q)[1], e1
+            return _zp_divmod([x * u for x in s1], m, q)[1], e1, K
         db, v = len(r1) - 1, pval(r1[-1], p)
         pv = p**v
         u = pow(r1[-1] // pv, -1, q)
-        rem, quo, shift = list(r0), [0] * (len(r0) - db), 0
+        rem, quo, shift, P = list(r0), [0] * (len(r0) - db), 0, P0
         for i in range(len(rem) - 1, db - 1, -1):
             lead = rem[i] % q
             if not lead:
@@ -164,8 +174,10 @@ def full_cofactor_euclid(a, m, p, N):
                 rem = [x * scale % q for x in rem[: i + 1]]
                 quo = [x * scale % q for x in quo]
                 shift += v - t
+                P = min(P + v - t, N)
                 lead = rem[i]
             quo[i - db] = qi = lead // pv * u % q
+            P = min(P - v, P1)
             for j in range(db):
                 rem[i - db + j] -= qi * r1[j]
         # p^shift*r0 - quo*r1 = rem, so this row has e = e1 before its content
@@ -174,8 +186,8 @@ def full_cofactor_euclid(a, m, p, N):
         s2 += [0] * (len(s1) + len(quo) - 1 - len(s2))
         for i, x in enumerate(_zp_mul(quo, s1)):
             s2[i] -= x
-        r0, s0, e0 = r1, s1, e1
-        r1, s1 = rem[:db], _zp_reduce(s2, q)
+        r0, s0, e0, P0 = r1, s1, e1, P1
+        r1, s1, P1 = rem[:db], _zp_reduce(s2, q), P
 
 
 def _reduced_mod_p(a, p):
@@ -392,6 +404,21 @@ def full_contact(tipo, f):
     res = tipo.residual_on_side(sides[0], readings, cloud)
     fld = tipo.order_data(tipo.order + 1)[0]
     return sides[0].height, fld.mul(res[0], fld.inv(res[1]))
+
+
+def full_v(tipo, P, R):
+    """Type.v off every phi-adic digit of P: the program's own earlier
+    reading, which did not stop at the least term."""
+    if R == 1:
+        return vpoly(P, tipo.p), P.coeffs
+    lvl = tipo.levels[R - 2]
+    pts = []
+    for j, a in enumerate(phi_expand(P, lvl.phi)):
+        if not a.is_zero:
+            r = full_v(tipo, a, R - 1)
+            pts.append((lvl.e * (r[0] + j * lvl.V) + lvl.h * j, j, r))
+    u = min(pts)[0]
+    return u, [(j, r) for val, j, r in pts if val == u]
 
 
 def full_value_at_prime(tipo, P, f):

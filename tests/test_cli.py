@@ -25,6 +25,7 @@ from montes.errors import InputError, ParseError
 from montes.types import Type
 from montes.zpoly import IntPolynomial, X, pval
 
+from .oracles import sylvester_resultant
 from .test_zpoly import F12
 
 
@@ -195,6 +196,32 @@ def test_factor_generators_corrected_by_later_primes(capsys):
     doc = json.loads(out)
     assert [(q["e"], q["f"]) for q in doc["primes"]] == [(2, 1)] + [(1, 1)] * 4
     assert all(q["generator"] is not None for q in doc["primes"])
+
+
+@pytest.mark.parametrize("text", [
+    "x^4+36*x^3+22*x^2+140*x+105", "x^8-4*x^6+6*x^4-8*x^3-10*x^2-4*x-9",
+])
+def test_factor_generators_when_a_remainder_drops_two_degrees(capsys, text):
+    # The Euclid behind these generators meets a remainder that drops two
+    # degrees over Q; it used to divide by the unknown digit left in its
+    # place and never finish.  The generators give the identity grid.
+    t = time.perf_counter()
+    code, out, err = run_cli(capsys, "factor", "--prime", "2", "--poly", text, "--generators", "--json")
+    assert code == 0 and err == "" and time.perf_counter() - t < 2
+    f = parse_poly(text)
+    records = driver.factor_prime(f, 2).primes
+    grid = [
+        [
+            types.value_at_prime(rec, IntPolynomial([int(c) for c in q["generator"]["num"]]), f, 2)
+            - q["generator"]["p_power"] * rec.e
+            for rec in records
+        ]
+        for q in json.loads(out)["primes"]
+    ]
+    assert grid == [[int(i == j) for j in range(len(records))] for i in range(len(records))]
+    for rec, q in zip(records, json.loads(out)["primes"]):
+        G, k = [int(c) for c in q["generator"]["num"]], q["generator"]["p_power"]
+        assert pval(sylvester_resultant(f.coeffs, G), 2) == k * f.degree + rec.f
 
 
 def test_prime_size_cap_exit_2(capsys):

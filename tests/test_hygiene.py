@@ -3,8 +3,10 @@ package, no package code that only the tests call, no slot or dataclass
 field that nothing reads, package imports at the top of their modules, no
 work at import time, one powering loop, input errors raised only where input
 arrives, no error class that nothing raises, no exception raised outside
-errors.py's classes, and no phi-adic expansion without a digit bound outside
-Type.v.  All eleven are read off the syntax tree, so no linter is needed."""
+errors.py's classes, every phi-adic expansion read lazily and every package
+polygon read with a bound, and every name the benchmark imports from the
+program still there.  The first eleven are read off the syntax tree, so no
+linter is needed; the last also imports what it finds."""
 
 import ast
 from pathlib import Path
@@ -250,25 +252,56 @@ def test_the_package_raises_only_its_own_errors():
     assert found == [("zpoly.py", "__setattr__", "AttributeError")]
 
 
-def test_every_expansion_has_a_digit_bound():
-    # A polygon reader expands only the digits that can reach what it reads
-    # (types.py's docstring says which); phi_expand or newton_data without
-    # a bound expands every digit.  Type.v alone reads every digit, of a
-    # coefficient of degree below the modulus it expands along.
-    arity = {"phi_expand": 3, "newton_data": 2}
-    found = []
+def test_every_expansion_is_read_lazily():
+    # phi_expand yields one digit per division, so a reader pays only for
+    # the digits it pulls: every call is the iterable of a for loop, which
+    # may break (enumerate passes it through), or an argument of islice or
+    # next, never a list.  newton_data reads every digit unless its caller
+    # passes a bound, so every package call passes one.
+    lazy, found = [], []
 
-    def visit(node, module, fn):
+    def visit(node, parent, module, fn):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
+                visit(child, node, module, child.name)
                 continue
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if name in arity and len(child.args) + len(child.keywords) < arity[name]:
-                    found.append((module, fn, name))
-            visit(child, module, fn)
+                if name == "phi_expand":
+                    outer = node if isinstance(node, ast.Call) else None
+                    wrapped = getattr(outer and outer.func, "id", None)
+                    in_for = isinstance(node, ast.For) and node.iter is child
+                    if wrapped == "enumerate":
+                        in_for = isinstance(parent, ast.For) and parent.iter is node
+                    lazy.append(in_for or wrapped in ("islice", "next"))
+                if name == "newton_data" and len(child.args) + len(child.keywords) < 2:
+                    found.append((module, fn))
+            visit(child, node, module, fn)
 
     for path in PACKAGE:
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
-    assert found == [("types.py", "v", "phi_expand")]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, None, path.name, None)
+    assert lazy and all(lazy)
+    assert found == []
+
+
+def test_the_benchmark_imports_resolve():
+    # perfbench imports from the program, at the top of a module or inside
+    # a function; a name that moved or went away breaks the benchmark, not
+    # the tests, and test_no_unused_imports could force such a name out.
+    import importlib
+    import inspect
+
+    names = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("montes"):
+                names += [(node.module, alias.name) for alias in node.names]
+    assert ("montes.idealgen", "value_at_prime") in names
+    for module, name in names:
+        found = importlib.import_module(module)
+        if not hasattr(found, name):
+            importlib.import_module(f"{module}.{name}")  # a submodule
+    from montes.driver import factor_prime
+
+    assert {"seed", "refine"} <= set(inspect.signature(factor_prime).parameters)

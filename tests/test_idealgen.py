@@ -9,7 +9,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from montes import driver, idealgen, types
@@ -329,11 +329,21 @@ small_monic = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(
 small_poly = st.lists(st.integers(-9, 9), max_size=6).map(IntPolynomial)
 
 
+# The quotients of the two primes of HANG_8 at 2, and of the one prime of
+# HANG_4, where a remainder over Q drops two degrees at once: the Euclid that
+# took every remainder as known mod p^(N-e) divided by the unknown digit
+# left there and never found a w, at any N.
+HANG_4 = parse_poly("x^4+36*x^3+22*x^2+140*x+105")
+HANG_8 = parse_poly("x^8-4*x^6+6*x^4-8*x^3-10*x^2-4*x-9")
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([2, 3, 5, 13]), small_monic, small_monic, small_poly, small_poly,
     st.integers(1, 3), st.integers(1, 3), st.sampled_from([2, 3, 5]),
 )
+@example(2, lin(1), HANG_4.divmod_monic(lin(1))[0], IntPolynomial([-6]), IntPolynomial(), 3, 4, 2)
+@example(2, lin(1), HANG_8.divmod_monic(lin(1))[0], IntPolynomial([-1]), IntPolynomial(), 2, 6, 2)
 def test_p_adic_inverse_matches_the_full_euclid(p, g, h, r, s, j, k, A):
     # f = g*h + p^j*r and a = g + p*s share the factor g mod p, but not over Q.
     f = g * h + r * p**j
@@ -341,13 +351,14 @@ def test_p_adic_inverse_matches_the_full_euclid(p, g, h, r, s, j, k, A):
     assume(f.is_monic and f.degree == g.degree + h.degree and is_squarefree(f))
     assume(not a.is_zero and sylvester_resultant(f.coeffs, a.coeffs) != 0)
     y, w, N = p_adic_inverse(a, k, f, p, A)
-    # the Euclid with every cofactor in full certifies N and agrees on w
+    # the Euclid with every cofactor in full agrees on w, and its identity,
+    # exact mod p^K, certifies it
     q = p**N
     ak = [c % q for c in (a**k).divmod_monic(f)[1].coeffs]
-    y0, w0 = full_cofactor_euclid(ak, [c % q for c in f.coeffs], p, N)
+    y0, w0, K = full_cofactor_euclid(ak, [c % q for c in f.coeffs], p, N)
     err = (IntPolynomial(y0) * a**k - IntPolynomial([p**w])).divmod_monic(f)[1]
-    assert w0 == w and N >= 2 * w + 2
-    assert all(c % q == 0 for c in err.coeffs)
+    assert w0 == w and N >= K >= 2 * w + 2
+    assert all(c % p**K == 0 for c in err.coeffs)
     # y is its answer to the A digits past w that the caller reads
     qa = p ** (w + A)
     assert all((c - c0) % qa == 0 for c, c0 in zip_longest(y, y0, fillvalue=0))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,9 +12,16 @@ from montes.ffield import factor as ffactor
 from montes.idealgen import compute_generators
 from montes.polygon import cut_sides, principal_sides, region_index
 from montes.types import Type, complete_branch, value_at_prime
-from montes.zpoly import IntPolynomial, is_squarefree
+from montes.zpoly import IntPolynomial, is_squarefree, pval
 
-from .oracles import NotApplicable, full_contact, full_value_at_prime, tame_disc_check
+from .oracles import (
+    NotApplicable,
+    full_contact,
+    full_v,
+    full_value_at_prime,
+    sylvester_resultant,
+    tame_disc_check,
+)
 from .test_pinned_outputs import A2
 from .test_zpoly import F12
 
@@ -217,9 +225,9 @@ def test_one_expansion_per_coefficient_and_modulus(monkeypatch):
     expansions = []
     expand = types.phi_expand
 
-    def counted_expand(P, phi, *bound):
+    def counted_expand(P, phi):
         expansions.append((P, phi))
-        return expand(P, phi, *bound)
+        return expand(P, phi)
 
     moduli = []
     newton_data = Type.newton_data
@@ -408,3 +416,57 @@ def test_the_loop_expands_f_no_further_than_the_multiplicity(monkeypatch):
     monkeypatch.setattr(Type, "newton_data", measured)
     factor_prime(f, 13)
     assert excess and max(excess) <= 0
+
+
+def test_v_stops_at_its_least_term_with_the_whole_reading(monkeypatch):
+    # Type.v stops once no later digit can reach its least term; its value
+    # and terms are those off every digit, on every reading of the loop, of
+    # the discriminant and of the generators
+    v = Type.v
+    seen = []
+
+    def checked(self, P, R):
+        out = v(self, P, R)
+        if R > 1:
+            assert out == full_v(self, P, R)
+            seen.append(R)
+        return out
+
+    monkeypatch.setattr(Type, "v", checked)
+    chains = ((3, 2, ((1, 2, 2), (1, 1, 2), (1, 3, 2))),
+              (2, 2, ((1, 2, 3), (1, 1, 2), (1, 3, 1), (1, 1, 2))))
+    cases = [(tower_phi(level), 2) for level in range(1, 6)] + [(A2, 2), (multi_branch(1), 13)]
+    cases += [(random_tower(p, f0, levels, 1), p) for p, f0, levels in chains]
+    for f, p in cases:
+        run = factor_prime(f, p)
+        disc_valuation(run)
+        if f.degree <= 120:
+            compute_generators(run)
+    assert len(seen) > 1000 and max(seen) >= 5
+
+
+def test_value_at_prime_certifies_a_zero_on_the_component():
+    # P vanishes on the components of its own primes, where its modulus
+    # need not divide f = P*Q: a tie there cannot separate, and the value
+    # passes the resultant bound within a few rounds.  At the other primes
+    # the values of P add up to v_p(Res(Q, P)).
+    pairs = [("x^2+2", "x^2+3", 2), ("x^3-3", "x^3-12", 3), ("x^4-2", "x^2+7", 2),
+             ("x^2+x+1", "x^2-x+7", 7)]
+    for a, b, p in pairs:
+        P, Q = parse_poly(a), parse_poly(b)
+        f = P * Q
+        sums = {}
+        for rec in factor_prime(f, p).primes:
+            zero = []
+            for G, H in ((P, Q), (Q, P)):
+                t = time.perf_counter()
+                try:
+                    v = value_at_prime(rec, G, f, p)
+                except ZeroAtTheta:
+                    zero.append(G)
+                else:
+                    sums[H] = sums.get(H, 0) + rec.f * v
+                assert time.perf_counter() - t < 1
+            assert len(zero) == 1
+        for G, H in ((P, Q), (Q, P)):
+            assert sums.get(G, 0) == pval(sylvester_resultant(G.coeffs, H.coeffs), p)

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -106,24 +107,32 @@ def test_phi_expand_roundtrip(a, tail):
 
 
 @given(small_polys, st.lists(st.integers(-9, 9), min_size=1, max_size=3), st.integers(0, 6))
-def test_phi_expand_with_a_bound(a, tail, digits):
-    # the first `digits` digits of the whole expansion, then the rest P div
-    # phi^digits when it is nonzero: the sum still gives P back
+def test_phi_expand_is_a_lazy_stream(a, tail, k):
+    # pulling k digits costs k divisions and gives the first k digits of
+    # the whole expansion
     phi = IntPolynomial(tail + [1])
-    parts = phi_expand(a, phi, digits)
-    assert parts[:digits] == phi_expand(a, phi)[:digits]
-    assert len(parts) <= digits + 1
-    acc = IntPolynomial()
-    for i, part in enumerate(parts):
-        acc = acc + part * phi ** i
-    assert acc == a
+    calls = []
+    divmod_monic = IntPolynomial.divmod_monic
+
+    def counted(self, d):
+        calls.append(d)
+        return divmod_monic(self, d)
+
+    whole = list(phi_expand(a, phi))
+    IntPolynomial.divmod_monic = counted
+    try:
+        head = list(islice(phi_expand(a, phi), k))
+    finally:
+        IntPolynomial.divmod_monic = divmod_monic
+    assert head == whole[:k]
+    assert len(calls) == len(head)
 
 
 def test_phi_expand_pinned_example():
     # (x^2+4x+16)-adic digits of phi^2 + 2^4*x*phi + 2^12.
     phi = IntPolynomial([16, 4, 1])
     p2 = phi * phi + IntPolynomial([0, 16]) * phi + IntPolynomial([4096])
-    parts = phi_expand(p2, phi)
+    parts = list(phi_expand(p2, phi))
     assert parts == [IntPolynomial([4096]), IntPolynomial([0, 16]), IntPolynomial([1])]
 
 
